@@ -177,7 +177,8 @@ void BenchReport::addRow(std::string Name, double Value, std::string Unit,
 
 std::string BenchReport::toJson() const {
   // Report provenance: schema_version gates downstream parsers (m4jstat,
-  // CI trend scripts), git_sha + UTC timestamp pin the run to a commit.
+  // CI trend scripts), git_sha + UTC timestamp pin the run to a commit,
+  // and hardware_threads records the host shape the numbers came from.
   char Stamp[32] = "unknown";
   std::time_t Now = std::time(nullptr);
   struct std::tm Utc;
@@ -185,9 +186,10 @@ std::string BenchReport::toJson() const {
     std::strftime(Stamp, sizeof(Stamp), "%Y-%m-%dT%H:%M:%SZ", &Utc);
   std::string Out = support::format(
       "{\n\"schema_version\": 1,\n\"git_sha\": \"%s\",\n"
-      "\"timestamp_utc\": \"%s\",\n\"bench\": \"%s\",\n\"results\": [",
+      "\"timestamp_utc\": \"%s\",\n\"hardware_threads\": %zu,\n"
+      "\"bench\": \"%s\",\n\"results\": [",
       support::jsonEscape(M4J_GIT_SHA).c_str(), Stamp,
-      support::jsonEscape(BenchName).c_str());
+      support::hardwareThreads(), support::jsonEscape(BenchName).c_str());
   bool First = true;
   for (const Row &R : Rows) {
     Out += support::format(

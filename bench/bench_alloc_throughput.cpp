@@ -9,19 +9,11 @@
 // a steady-state churn loop (ring of 512 slots, mixed payload sizes,
 // alloc-newest / free-oldest) over a standing population of 200k live
 // objects — the shape of a real app heap, where most objects survive and
-// a hot minority churns. Both allocation pipelines:
+// a hot minority churns. The heap's per-thread TLAB bumps, sharded free
+// lists and O(1) liveness bitmap keep the per-op cost independent of the
+// live population.
 //
-//   "tlab"   — per-thread TLAB bumps + sharded free lists + O(1) liveness
-//              bitmap (the default): per-op cost independent of the live
-//              population.
-//   "global" — every alloc/free behind one mutex around a std::set
-//              liveness index and an ordered free-list map (the seed
-//              allocator's behaviour, AllocPipeline::GlobalLock): every
-//              op pays O(log live) cache-cold tree walks.
-//
-// Rows: alloc_churn/t{T}/{tlab,global} in Mops/s, plus speedup/t{T}
-// ratio rows (tlab over global). Acceptance targets: >= 4x at 8 threads,
-// and the single-thread tlab path no more than 5% slower than global.
+// Rows: alloc_churn/t{T}/tlab in Mops/s.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +31,7 @@ using namespace mte4jni::bench;
 namespace {
 
 // 512 churned slots per thread on top of a standing population that stays
-// live for the whole measurement. The population sets the depth (and cache
-// footprint) of the baseline's liveness tree; the ring is the hot set.
+// live for the whole measurement; the ring is the hot set.
 constexpr unsigned kRingSlots = 512;
 constexpr unsigned kStandingObjects = 200000;
 /// Mixed int-array lengths: payloads of 32..480 bytes, cycling so free
@@ -70,11 +61,9 @@ void churn(rt::JavaHeap &Heap, unsigned Iters, unsigned ThreadIndex) {
 }
 
 /// Wall-clock Mops/s (allocations per microsecond) for Threads workers.
-double runPipeline(rt::AllocPipeline Pipeline, unsigned Threads,
-                   unsigned Iters) {
+double runChurn(unsigned Threads, unsigned Iters) {
   rt::HeapConfig C;
   C.CapacityBytes = 256ull << 20;
-  C.Pipeline = Pipeline;
   rt::JavaHeap Heap(C);
 
   // The standing live population (stays allocated until the clock stops).
@@ -118,7 +107,7 @@ int main(int Argc, char **Argv) {
   BenchOptions Options = BenchOptions::parse(Argc, Argv);
   printBanner("bench_alloc_throughput — contended allocation churn",
               "Allocator scalability: per-thread TLABs + sharded free "
-              "lists vs the global-lock baseline",
+              "lists",
               Options);
 
   std::vector<unsigned> ThreadCounts;
@@ -140,25 +129,14 @@ int main(int Argc, char **Argv) {
               Iters, kRingSlots, kStandingObjects);
 
   BenchReport Report("alloc_throughput");
-  TablePrinter Table({"threads", "tlab Mops/s", "global Mops/s", "speedup"},
-                     {8, 12, 14, 9});
+  TablePrinter Table({"threads", "tlab Mops/s"}, {8, 12});
   Table.printHeader();
   for (unsigned T : ThreadCounts) {
-    double Tlab = runPipeline(rt::AllocPipeline::Tlab, T, Iters);
-    double Global = runPipeline(rt::AllocPipeline::GlobalLock, T, Iters);
-    double Speedup = Tlab / Global;
-    Table.printRow({support::format("%u", T), support::format("%.2f", Tlab),
-                    support::format("%.2f", Global),
-                    support::format("%.2fx", Speedup)});
+    double Tlab = runChurn(T, Iters);
+    Table.printRow({support::format("%u", T), support::format("%.2f", Tlab)});
     Report.addRow(support::format("alloc_churn/t%u/tlab", T), Tlab, "Mops/s",
                   Iters);
-    Report.addRow(support::format("alloc_churn/t%u/global", T), Global,
-                  "Mops/s", Iters);
-    Report.addRow(support::format("speedup/t%u", T), Speedup, "x", Iters);
   }
-
-  std::printf("\ntargets: speedup >= 4x at 8 threads; single-thread tlab "
-              ">= 0.95x global\n");
   Report.writeIfRequested(Options);
   return 0;
 }

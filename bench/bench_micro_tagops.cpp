@@ -135,8 +135,8 @@ void BM_LoadCheckedCacheMiss(benchmark::State &State) {
 BENCHMARK(BM_LoadCheckedCacheMiss);
 
 /// Range-scan row: one checkReadRange over N bytes resolves to a single
-/// SWAR/SIMD sweep of N/16 shadow bytes in the cached region. This is the
-/// path bulk copies (GetByteArrayRegion, memcpy shims) ride.
+/// two-level walk of the cached region's shadow. This is the path bulk
+/// copies (GetByteArrayRegion, memcpy shims) ride.
 void BM_CheckRangeScan(benchmark::State &State) {
   mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::Sync);
   mte::ThreadState::current().setTco(false);
@@ -155,9 +155,9 @@ BENCHMARK(BM_CheckRangeScan)->Range(256, 256 << 10);
 
 /// Two-level fast path: a checked range over a uniformly-tagged buffer is
 /// resolved almost entirely from line summaries — one byte compare per 64
-/// granules, SIMD-swept. Arg is GRANULES (4096 = 64 KiB ... 262144 =
-/// 4 MiB); compare against BM_TagScanDispatch at the same granule count
-/// for the summary-vs-granule-sweep win (the >=10x acceptance gate).
+/// granules, SWAR-swept. Arg is GRANULES (4096 = 64 KiB ... 262144 =
+/// 4 MiB); compare against BM_TagScanSwar at the same granule count for
+/// the summary-vs-granule-sweep win (the >=10x acceptance gate).
 void BM_CheckRangeUniform(benchmark::State &State) {
   mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::Sync);
   mte::ThreadState::current().setTco(false);
@@ -208,10 +208,8 @@ void BM_CheckRangeMixed(benchmark::State &State) {
 }
 BENCHMARK(BM_CheckRangeMixed);
 
-/// Raw shadow-scan kernels over N granule tags: the byte loop the seed
-/// shipped vs the SWAR word scan vs the runtime-dispatched best kernel
-/// (AVX2/SSE2 when available). The dispatch row over the scalar row is the
-/// >=2x large-scan acceptance gate for this change.
+/// Raw shadow-scan kernels over N granule tags: the scalar reference vs
+/// the SWAR word scan every tag check uses.
 template <uint64_t (*Scan)(const uint8_t *, uint64_t, mte::TagValue)>
 void BM_TagScan(benchmark::State &State) {
   uint64_t Granules = static_cast<uint64_t>(State.range(0));
@@ -224,11 +222,8 @@ void BM_TagScan(benchmark::State &State) {
 BENCHMARK_TEMPLATE(BM_TagScan, mte::detail::scanMismatchScalar)
     ->Name("BM_TagScanScalar")
     ->Range(64, 64 << 10);
-BENCHMARK_TEMPLATE(BM_TagScan, mte::detail::scanMismatchSwar)
-    ->Name("BM_TagScanSwar")
-    ->Range(64, 64 << 10);
 BENCHMARK_TEMPLATE(BM_TagScan, mte::detail::scanMismatch)
-    ->Name("BM_TagScanDispatch")
+    ->Name("BM_TagScanSwar")
     ->Range(64, 64 << 10);
 
 /// Algorithm 1+2 round trip, single thread.

@@ -5,8 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Runs a short MTE4JNI workload with the systrace-style recorder enabled
-// and writes mte4jni_trace.json — open it in chrome://tracing or
+// Runs a short MTE4JNI workload with the flight recorder in Full mode and
+// writes mte4jni_trace.json — open it in chrome://tracing or
 // https://ui.perfetto.dev to see the JNI Get/Release slices, tag
 // allocator activity and GC pauses on a timeline, the way an Android
 // engineer would profile the real thing.
@@ -15,7 +15,6 @@
 
 #include "mte4jni/api/Session.h"
 #include "mte4jni/mte/Access.h"
-#include "mte4jni/support/TraceEvents.h"
 #include "mte4jni/workloads/Workload.h"
 
 #include <cstdio>
@@ -23,15 +22,13 @@
 using namespace mte4jni;
 
 int main() {
-  support::TraceRecorder::clear();
-  support::TraceRecorder::setEnabled(true);
-
+  api::SessionConfig Config;
+  Config.Protection = api::Scheme::Mte4JniSync;
+  Config.BackgroundGc = true;
+  Config.GcIntervalMillis = 2;
+  Config.TraceMode = support::FlightMode::Full;
+  api::Session S(Config);
   {
-    api::SessionConfig Config;
-    Config.Protection = api::Scheme::Mte4JniSync;
-    Config.BackgroundGc = true;
-    Config.GcIntervalMillis = 2;
-    api::Session S(Config);
     api::ScopedAttach Main(S, "main");
     rt::HandleScope Scope(S.runtime());
 
@@ -55,21 +52,15 @@ int main() {
       W->run(Ctx);
   }
 
-  support::TraceRecorder::setEnabled(false);
-  std::string Json = support::TraceRecorder::exportChromeJson();
-
   const char *Path = "mte4jni_trace.json";
-  FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::perror("fopen");
+  if (!S.writeTraceJson(Path)) {
+    std::perror(Path);
     return 1;
   }
-  std::fwrite(Json.data(), 1, Json.size(), F);
-  std::fclose(F);
-
-  std::printf("captured %zu events -> %s (%zu bytes)\n",
-              support::TraceRecorder::size(), Path, Json.size());
+  std::printf("captured %llu events -> %s\n",
+              static_cast<unsigned long long>(
+                  support::FlightRecorder::eventCount()),
+              Path);
   std::printf("open in chrome://tracing or https://ui.perfetto.dev\n");
-  support::TraceRecorder::clear();
   return 0;
 }

@@ -87,9 +87,6 @@ struct SessionConfig {
   uint64_t HeapBytes = 64ull << 20;
   /// 0 = pick automatically (16 under MTE4JNI per §4.1, else 8).
   unsigned HeapAlignment = 0;
-  /// Per-thread allocation buffer carved per refill (see rt::HeapConfig).
-  /// 0 routes every bump through the refill lock.
-  uint64_t HeapTlabBytes = 64 << 10;
 
   /// Guarded-copy red-zone size per side.
   uint64_t GuardedRedZoneBytes = 2048;

@@ -20,7 +20,7 @@
 ///     kSummaryMixed. Real tag traffic is overwhelmingly uniform at line
 ///     granularity (allocators colour whole objects), so bulk checks
 ///     walk this level first: a uniformly-tagged buffer costs one byte
-///     compare per 64 granules — SWAR/AVX2-swept for large ranges — and
+///     compare per 64 granules — SWAR-swept for large ranges — and
 ///     only Mixed lines fall back to the packed nibble scan.
 ///
 /// Maintenance invariants (see DESIGN.md §13 for the full race argument):
@@ -76,11 +76,6 @@ uint64_t scanMismatchScalar(const uint8_t *Tags, uint64_t Count,
 
 /// SWAR scan: 8 bytes per uint64_t (replicated expected byte, XOR,
 /// first-nonzero-byte). Same contract as the scalar scan.
-uint64_t scanMismatchSwar(const uint8_t *Tags, uint64_t Count,
-                          TagValue Expected);
-
-/// Dispatching byte scan: AVX2 (when the build enabled it and the CPU has
-/// it) > SSE2 > SWAR.
 uint64_t scanMismatch(const uint8_t *Tags, uint64_t Count, TagValue Expected);
 
 // -- packed-nibble kernels ------------------------------------------------
@@ -94,23 +89,14 @@ uint64_t scanMismatch(const uint8_t *Tags, uint64_t Count, TagValue Expected);
 uint64_t scanMismatchPackedScalar(const uint8_t *Packed, uint64_t FirstGranule,
                                   uint64_t Count, TagValue Expected);
 
-/// SWAR body (16 granules per uint64_t); kept addressable for benches and
-/// kernel-equivalence tests.
-uint64_t scanMismatchPackedSwar(const uint8_t *Packed, uint64_t FirstGranule,
-                                uint64_t Count, TagValue Expected);
-
-/// Dispatching packed scan (AVX2 = 64 granules/iteration > SSE2 > SWAR).
+/// SWAR packed scan: 16 granules per uint64_t.
 uint64_t scanMismatchPacked(const uint8_t *Packed, uint64_t FirstGranule,
                             uint64_t Count, TagValue Expected);
 
-/// Which byte kernel scanMismatch dispatches to for \p Count bytes:
-/// 0 = scalar, 1 = SWAR, 2 = SSE2, 3 = AVX2.
-unsigned scanKernelFor(uint64_t Count);
-
 /// Flight-recorder attribution for a range check over \p Granules
-/// granules: 4 = summary-assisted two-level walk (ranges spanning at
-/// least one full line), otherwise the packed-kernel id per
-/// scanKernelFor of the packed byte count.
+/// granules (the CheckScan event's Arg): 1 = summary-assisted two-level
+/// walk (ranges spanning at least one full line), 0 = packed scan of the
+/// granules within one line.
 unsigned checkKernelFor(uint64_t Granules);
 
 } // namespace detail
@@ -152,7 +138,7 @@ public:
   /// Scans granules [FirstIdx, LastIdx] for any tag != \p Expected;
   /// returns the index of the first mismatch, or UINT64_MAX when all
   /// match. Bulk analog of per-access checks for memcpy-style transfers.
-  /// Walks line summaries first (one compare per uniform line, SWAR/SIMD
+  /// Walks line summaries first (one compare per uniform line, SWAR
   /// over summary bytes for multi-line spans) and packed-scans only Mixed
   /// lines, lazily re-promoting any it proves uniform.
   uint64_t findMismatch(uint64_t FirstIdx, uint64_t LastIdx,

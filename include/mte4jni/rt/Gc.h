@@ -99,9 +99,6 @@ public:
   /// Runs one stop-the-world collection on the calling thread.
   GcResult collect();
 
-  /// Runs only the verification pass (reads every payload).
-  uint64_t verifyHeap();
-
   uint64_t completedCycles() const {
     return Cycles.load(std::memory_order_relaxed);
   }

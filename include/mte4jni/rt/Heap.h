@@ -16,7 +16,7 @@
 ///   * ProtMte — when set, the arena is registered with the MTE simulator
 ///     (the analog of mapping the heap with PROT_MTE).
 ///
-/// Allocation pipeline (AllocPipeline::Tlab, the default):
+/// Allocation pipeline:
 ///
 ///   * The common alloc is a bump-pointer increment in the calling
 ///     thread's TLAB — no lock, no shared cache line. TLABs are carved
@@ -34,10 +34,6 @@
 ///     the bitmap linearly WITHOUT holding any heap lock — callbacks may
 ///     allocate and free.
 ///
-/// AllocPipeline::GlobalLock preserves the seed allocator's behaviour —
-/// every alloc/free serialises on one mutex — as the ablation baseline
-/// for bench_alloc_throughput.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef MTE4JNI_RT_HEAP_H
@@ -51,24 +47,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 namespace mte4jni::rt {
-
-/// Allocation pipeline ablation (see bench_alloc_throughput).
-enum class AllocPipeline : uint8_t {
-  /// Per-thread TLABs + sharded free lists; the scalable default.
-  Tlab,
-  /// Every alloc/free serialises on one mutex around a std::set liveness
-  /// index and an ordered free-list map — the seed allocator's behaviour
-  /// and cost model, kept as the contended-allocation baseline.
-  GlobalLock,
-};
 
 struct HeapConfig {
   uint64_t CapacityBytes = 64ull << 20;
@@ -82,11 +66,6 @@ struct HeapConfig {
   /// 16-byte alignment. Compatible with the compacting GC: compact()
   /// migrates allocation colours with moved objects.
   bool TagOnAlloc = false;
-  /// TLAB size carved per refill (clamped to CapacityBytes/16). 0 keeps
-  /// the sharded free lists but sends every bump through the refill lock.
-  uint64_t TlabBytes = 64 << 10;
-  /// Tlab (default) or GlobalLock (the serialised ablation baseline).
-  AllocPipeline Pipeline = AllocPipeline::Tlab;
 };
 
 struct HeapStats {
@@ -196,6 +175,8 @@ private:
   /// Free-list size classes directly indexed by (Size >> AlignShift);
   /// larger blocks fall into a per-shard map.
   static constexpr unsigned kNumSmallClasses = 256;
+  /// TLAB size carved per refill, before the CapacityBytes/16 clamp.
+  static constexpr uint64_t kTlabSize = 64 << 10;
 
   struct alignas(64) Tlab {
     /// Next free byte / one-past-the-end of this shard's buffer. Relaxed
@@ -237,14 +218,6 @@ private:
   ObjectHeader *allocObject(uint32_t ClassWord, uint32_t Length,
                             uint64_t PayloadBytes);
 
-  /// Common allocation tail: header init, payload zeroing, TagOnAlloc
-  /// colouring, liveness-bit publish, sharded stats. The Tlab pipeline
-  /// runs it outside any lock; the GlobalLock ablation runs it inside the
-  /// mutex, exactly as the seed did.
-  ObjectHeader *finishAlloc(uint64_t Addr, uint32_t ClassWord,
-                            uint32_t Length, uint64_t Size, unsigned Shard,
-                            bool FreeListHit);
-
   /// Refill-lock slow path: TLAB refill (bulk tag scrub under TagOnAlloc),
   /// direct carve for big objects and overflow-shard threads, then
   /// cross-shard free-list stealing. Sets \p FreeListHit when the block
@@ -272,7 +245,8 @@ private:
   std::unique_ptr<uint8_t[]> Storage;
   uint64_t Base = 0;
   unsigned AlignShift = 3;
-  uint64_t EffTlabBytes = 0;
+  /// kTlabSize clamped to CapacityBytes/16.
+  uint64_t TlabSize = 0;
 
   /// Allocation frontier, guarded by RefillLock for writes; readable
   /// lock-free (forEachObject bounds its walk with it).
@@ -287,15 +261,6 @@ private:
   std::unique_ptr<Tlab[]> Tlabs;
   std::unique_ptr<FreeShard[]> FreeShards;
   std::unique_ptr<StatShard[]> StatShards;
-
-  /// Seed-fidelity state for the GlobalLock ablation, guarded by
-  /// RefillLock: the seed kept a std::set liveness index and an ordered
-  /// free-list map behind one mutex, so the ablation keeps paying those
-  /// per-op costs (tree lookups, node churn) — the baseline
-  /// bench_alloc_throughput compares against is the seed allocator, not a
-  /// hybrid borrowing the new data structures.
-  std::set<uint64_t> SeedLive;
-  std::map<uint64_t, std::vector<uint64_t>> SeedFree;
 };
 
 } // namespace mte4jni::rt

@@ -209,20 +209,6 @@ private:
   Shard Shards[kMetricCells];
 };
 
-/// RAII: records the scope's duration (nanoseconds) into a histogram.
-class ScopedLatency {
-public:
-  explicit ScopedLatency(Histogram &H) : H(H), StartNanos(monotonicNanos()) {}
-  ~ScopedLatency() { H.record(monotonicNanos() - StartNanos); }
-
-  ScopedLatency(const ScopedLatency &) = delete;
-  ScopedLatency &operator=(const ScopedLatency &) = delete;
-
-private:
-  Histogram &H;
-  uint64_t StartNanos;
-};
-
 // ==== fault telemetry =====================================================
 
 /// One MTE fault, flattened for the telemetry ring. The library layering

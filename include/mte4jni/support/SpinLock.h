@@ -17,16 +17,12 @@
 
 #include <atomic>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
-
 namespace mte4jni::support {
 
 /// Pause hint for spin-wait loops.
 inline void cpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
-  _mm_pause();
+  __builtin_ia32_pause();
 #elif defined(__aarch64__)
   asm volatile("yield");
 #endif

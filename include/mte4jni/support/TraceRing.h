@@ -8,12 +8,11 @@
 /// \file
 /// A per-thread flight recorder: each thread owns a lock-free ring of
 /// fixed-size (24-byte) trace events — JNI crossings, TagTable
-/// acquire/release with outcome code, tag-check scans with kernel choice,
-/// GC phases, TLAB refills, faults. Unlike TraceEvents.h (a global
-/// spinlocked buffer that is off by default), the flight recorder is
-/// always on at a ~1/64 sampling rate so the last few thousand events per
-/// thread are available after the fact — from a tombstone, a bench run,
-/// or a hung process — without having asked in advance.
+/// acquire/release with outcome code, tag-check scans with the store
+/// level that resolved them, GC phases, TLAB refills, faults. It is the repository's only tracer,
+/// and it is always on at a ~1/64 sampling rate so the last few thousand
+/// events per thread are available after the fact — from a tombstone, a
+/// bench run, or a hung process — without having asked in advance.
 ///
 /// Three observability levels, runtime-selectable and capped by the
 /// compile-time M4J_OBS_LEVEL:
@@ -67,9 +66,11 @@ enum class FlightKind : uint8_t {
   JniCrossing,  ///< Trampoline::callNative; Arg = NativeKind
   JniAcquire,   ///< JNI Get*ArrayElements / GetPrimitiveArrayCritical
   JniRelease,   ///< JNI Release*ArrayElements / ReleasePrimitiveArrayCritical
-  TagAcquire,   ///< TagAllocator::acquire; Arg = outcome (0 fast, 1+reason)
-  TagRelease,   ///< TagAllocator::release; Arg = outcome (0 fast, 1+reason)
-  CheckScan,    ///< mte tag-check range scan; Arg = kernel, Arg2 = granules
+  TagAcquire,   ///< TagAllocator::acquire; Arg = outcome (0 fast,
+                ///< 1+reason, or kTagOutcomeMutex)
+  TagRelease,   ///< TagAllocator::release; Arg = outcome as TagAcquire
+  CheckScan,    ///< mte tag-check range scan; Arg = 0 packed line scan,
+                ///< 1 summary walk (detail::checkKernelFor); Arg2 = granules
   GcPhase,      ///< Arg = GcFlightPhase
   TlabRefill,   ///< Arg2 = bytes taken from the shared frontier
   Fault,        ///< Arg = 0 sync, 1 async
@@ -95,6 +96,11 @@ enum class TagSlowReason : uint8_t {
                    ///< tags exactly instead of deferring
   kNumReasons
 };
+
+/// Outcome byte of TagAcquire/TagRelease events on the TwoTierMutex and
+/// GlobalLock table kinds, which take a mutex on every operation
+/// ("TagTable.acquire.mutex").
+constexpr uint8_t kTagOutcomeMutex = 0xFF;
 
 /// Stable lowercase-underscore name for metrics ("slot_cold", ...).
 const char *tagSlowReasonName(TagSlowReason Reason);
@@ -245,8 +251,8 @@ private:
 /// RAII: one sampling decision arms BOTH a latency-histogram record and
 /// (when Kind != None) a flight slice — the cost of instrumenting a hot
 /// path is paid once, and the 2x clock_gettime is only taken on sampled
-/// iterations. This is what keeps the <3% overhead budget: an unconditional
-/// ScopedLatency costs ~40 ns of clock reads, ~28% of a ~140 ns acquire.
+/// iterations. This is what keeps the <3% overhead budget: timing every
+/// call costs ~40 ns of clock reads, ~28% of a ~140 ns acquire.
 class SampledLatency {
 public:
   explicit SampledLatency(Histogram &H, FlightKind Kind = FlightKind::None,

@@ -54,7 +54,6 @@ Session::Session(const SessionConfig &Config) : Config(Config) {
                             ? mte::CheckMode::Async
                             : mte::CheckMode::None);
   RC.Heap.TagOnAlloc = Config.Protection == Scheme::TagOnAllocSync;
-  RC.Heap.TlabBytes = Config.HeapTlabBytes;
   RC.TagChecksInNative = IsMte;
   RC.Gc.BackgroundThread = Config.BackgroundGc;
   RC.Gc.IntervalMillis = Config.GcIntervalMillis;

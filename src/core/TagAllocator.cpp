@@ -11,7 +11,6 @@
 #include "mte4jni/mte/ThreadState.h"
 #include "mte4jni/support/MathExtras.h"
 #include "mte4jni/support/Metrics.h"
-#include "mte4jni/support/TraceEvents.h"
 #include "mte4jni/support/TraceRing.h"
 
 #include <array>
@@ -137,6 +136,14 @@ void countSlowReason(support::TagSlowReason Reason,
     Flight->setArg(static_cast<uint8_t>(Reason) + 1);
 }
 
+/// Outcome byte a TagAcquire/TagRelease flight slice starts with. One
+/// sampling decision covers the whole operation on every table kind: a
+/// lock-free slice reads fast (0) unless its slow path stamps a reason;
+/// the mutex kinds lock on every operation, so they have no fast path.
+uint8_t initialFlightOutcome(core::TagTableKind Kind) {
+  return Kind == core::TagTableKind::LockFree ? 0 : support::kTagOutcomeMutex;
+}
+
 /// Why did the acquire fast path fail? Re-probes without locks; the
 /// observation is racy but statistically faithful — attribution counters
 /// are about distributions, not per-op exactness.
@@ -246,16 +253,14 @@ uint64_t TagAllocator::acquire(uint64_t Begin, uint64_t End,
   Begin = mte::addressOf(Begin);
   End = mte::addressOf(End);
   M4J_ASSERT(Begin <= End, "inverted range");
-  support::ScopedTrace Trace("TagAllocator.acquire", "mte4jni");
+  support::FlightScope Flight(support::FlightKind::TagAcquire,
+                              initialFlightOutcome(Kind));
   Stats.Acquires.add();
   if (CacheOut)
     *CacheOut = nullptr;
 
   switch (Kind) {
   case TagTableKind::LockFree: {
-    // One sampling decision covers the whole operation: outcome byte 0
-    // (fast) unless the slow path stamps a reason below.
-    support::FlightScope Flight(support::FlightKind::TagAcquire);
     // Fast path (Algorithm 1 steps 2-4 when the entry exists and the
     // object's tags are valid — a concurrent holder, or a lingering
     // deferred release being re-acquired warm): at best one memo hit, one
@@ -397,12 +402,12 @@ void TagAllocator::release(uint64_t Begin, uint64_t End,
                            TagTable::Slot *Hint) {
   Begin = mte::addressOf(Begin);
   End = mte::addressOf(End);
-  support::ScopedTrace Trace("TagAllocator.release", "mte4jni");
+  support::FlightScope Flight(support::FlightKind::TagRelease,
+                              initialFlightOutcome(Kind));
   Stats.Releases.add();
 
   switch (Kind) {
   case TagTableKind::LockFree: {
-    support::FlightScope Flight(support::FlightKind::TagRelease);
     // Fast path: not the last holder (plain decrement), or a single
     // holder whose tags may linger (deferred 1->0, resident bit stays) —
     // either way one CAS, no lock, no tag writes. The hint (from

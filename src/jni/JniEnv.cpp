@@ -12,7 +12,6 @@
 #include "mte4jni/support/Logging.h"
 #include "mte4jni/support/Metrics.h"
 #include "mte4jni/support/StringUtils.h"
-#include "mte4jni/support/TraceEvents.h"
 #include "mte4jni/support/TraceRing.h"
 
 #include <cstring>
@@ -102,7 +101,6 @@ void JniEnv::raiseError(const char *Interface, std::string Message) {
 
 uint64_t JniEnv::acquireObject(rt::ObjectHeader *Obj, const char *Interface,
                                jboolean *IsCopy) {
-  support::ScopedTrace Trace("JNI.Get", "jni");
   static support::Histogram &AcquireNanos =
       support::Metrics::histogram("jni/acquire_nanos");
   support::SampledLatency Lat(AcquireNanos, support::FlightKind::JniAcquire);
@@ -134,7 +132,6 @@ uint64_t JniEnv::acquireObject(rt::ObjectHeader *Obj, const char *Interface,
 
 void JniEnv::releaseObject(rt::ObjectHeader *Obj, const char *Interface,
                            uint64_t Bits, jint Mode) {
-  support::ScopedTrace Trace("JNI.Release", "jni");
   static support::Histogram &ReleaseNanos =
       support::Metrics::histogram("jni/release_nanos");
   support::SampledLatency Lat(ReleaseNanos, support::FlightKind::JniRelease);

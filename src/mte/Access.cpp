@@ -165,7 +165,7 @@ void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
 namespace {
 
 /// Granule-stride check over [Bits, Bits+Bytes) used by the bulk helpers.
-/// One SWAR/SIMD scan of the shadow bytes per overlapped region — the
+/// One SWAR scan of the shadow bytes per overlapped region — the
 /// hardware analog is that a memcpy's tag checks ride along with its loads
 /// and stores at no visible extra cost. Ranges may straddle region
 /// boundaries in either direction; every granule inside a region is
@@ -242,7 +242,7 @@ M4J_ALWAYS_INLINE void checkRange(uint64_t Bits, uint64_t Bytes,
   support::SampledLatency Lat(CheckNanos, support::FlightKind::CheckScan);
 
   // Fast path: whole range inside the thread's cached region under the
-  // current publish epoch — one SWAR/SIMD scan, no list walk.
+  // current publish epoch — one SWAR scan, no list walk.
   uint64_t Address = addressOf(Bits);
   const TaggedRegion *Cached = TS.cachedRegion();
   if (M4J_LIKELY(

@@ -13,10 +13,6 @@
 #include <bit>
 #include <cstring>
 
-#if defined(__SSE2__) && !defined(M4J_DISABLE_SIMD_SCAN)
-#include <emmintrin.h>
-#endif
-
 namespace mte4jni::mte {
 namespace detail {
 
@@ -46,8 +42,7 @@ M4J_ALWAYS_INLINE uint64_t firstDiffByte(uint64_t Diff, const uint8_t *Window,
 
 } // namespace
 
-uint64_t scanMismatchSwar(const uint8_t *Tags, uint64_t Count,
-                          TagValue Expected) {
+uint64_t scanMismatch(const uint8_t *Tags, uint64_t Count, TagValue Expected) {
   const uint64_t Pattern = 0x0101010101010101ULL * Expected;
   uint64_t I = 0;
   // Unaligned 8-byte loads are fine on every target we build for; memcpy
@@ -65,71 +60,8 @@ uint64_t scanMismatchSwar(const uint8_t *Tags, uint64_t Count,
   return UINT64_MAX;
 }
 
-#if defined(__SSE2__) && !defined(M4J_DISABLE_SIMD_SCAN)
-namespace {
-
-uint64_t scanMismatchSse2(const uint8_t *Tags, uint64_t Count,
-                          TagValue Expected) {
-  const __m128i Pattern = _mm_set1_epi8(static_cast<char>(Expected));
-  uint64_t I = 0;
-  for (; I + 16 <= Count; I += 16) {
-    __m128i V =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(Tags + I));
-    unsigned Eq = static_cast<unsigned>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(V, Pattern)));
-    if (M4J_UNLIKELY(Eq != 0xFFFFu))
-      return I + static_cast<uint64_t>(std::countr_zero(~Eq & 0xFFFFu));
-  }
-  if (I < Count) {
-    uint64_t Tail = scanMismatchSwar(Tags + I, Count - I, Expected);
-    if (Tail != UINT64_MAX)
-      return I + Tail;
-  }
-  return UINT64_MAX;
-}
-
-} // namespace
-#endif // __SSE2__
-
-#if M4J_HAVE_AVX2
-// Defined in TagScanAvx2.cpp, compiled with -mavx2; only called after a
-// runtime CPU check.
-uint64_t scanMismatchAvx2(const uint8_t *Tags, uint64_t Count,
-                          TagValue Expected);
-#endif
-
-uint64_t scanMismatch(const uint8_t *Tags, uint64_t Count, TagValue Expected) {
-#if M4J_HAVE_AVX2
-  static const bool HasAvx2 = __builtin_cpu_supports("avx2");
-  if (HasAvx2 && Count >= 32)
-    return scanMismatchAvx2(Tags, Count, Expected);
-#endif
-#if defined(__SSE2__) && !defined(M4J_DISABLE_SIMD_SCAN)
-  if (Count >= 16)
-    return scanMismatchSse2(Tags, Count, Expected);
-#endif
-  return scanMismatchSwar(Tags, Count, Expected);
-}
-
-unsigned scanKernelFor(uint64_t Count) {
-  // Mirrors scanMismatch's dispatch exactly.
-#if M4J_HAVE_AVX2
-  static const bool HasAvx2 = __builtin_cpu_supports("avx2");
-  if (HasAvx2 && Count >= 32)
-    return 3;
-#endif
-#if defined(__SSE2__) && !defined(M4J_DISABLE_SIMD_SCAN)
-  if (Count >= 16)
-    return 2;
-#endif
-  (void)Count;
-  return 1;
-}
-
 unsigned checkKernelFor(uint64_t Granules) {
-  if (Granules >= kLineGranules)
-    return 4; // summary-assisted two-level walk
-  return scanKernelFor((Granules + 1) / 2);
+  return Granules >= kLineGranules ? 1 : 0;
 }
 
 namespace {
@@ -143,17 +75,17 @@ M4J_ALWAYS_INLINE uint8_t loadPackedByte(const uint8_t *Packed, uint64_t G) {
       .load(std::memory_order_relaxed);
 }
 
-/// Shared packed-scan shape: peel the odd leading/trailing nibbles (atomic
-/// loads — shared bytes), run \p ByteScan over the byte-aligned body with
-/// both nibbles replicated (plain loads — every body byte is wholly inside
-/// the scanned range, and a checked range never overlaps a concurrently
-/// retagged granule by construction; see the exclusion argument in
-/// DESIGN.md §13), and resolve which nibble of the offending byte
-/// mismatched (the low nibble is the even — earlier — granule).
-template <uint64_t (*ByteScan)(const uint8_t *, uint64_t, TagValue)>
-M4J_ALWAYS_INLINE uint64_t scanPackedWith(const uint8_t *Packed,
-                                          uint64_t FirstGranule,
-                                          uint64_t Count, TagValue Expected) {
+} // namespace
+
+/// Peels the odd leading/trailing nibbles (atomic loads — shared bytes),
+/// runs the byte scan over the byte-aligned body with both nibbles
+/// replicated (plain loads — every body byte is wholly inside the scanned
+/// range, and a checked range never overlaps a concurrently retagged
+/// granule by construction; see the exclusion argument in DESIGN.md §13),
+/// and resolves which nibble of the offending byte mismatched (the low
+/// nibble is the even — earlier — granule).
+uint64_t scanMismatchPacked(const uint8_t *Packed, uint64_t FirstGranule,
+                            uint64_t Count, TagValue Expected) {
   if (Count == 0)
     return UINT64_MAX;
   uint64_t G = FirstGranule;
@@ -168,7 +100,7 @@ M4J_ALWAYS_INLINE uint64_t scanPackedWith(const uint8_t *Packed,
       static_cast<TagValue>((Expected << 4) | (Expected & 0xF));
   uint64_t Bytes = (EndG - G) >> 1;
   if (Bytes != 0) {
-    uint64_t Bad = ByteScan(Packed + (G >> 1), Bytes, Pattern);
+    uint64_t Bad = scanMismatch(Packed + (G >> 1), Bytes, Pattern);
     if (M4J_UNLIKELY(Bad != UINT64_MAX)) {
       uint64_t BadG = G + 2 * Bad;
       uint8_t Byte = Packed[(G >> 1) + Bad];
@@ -184,8 +116,6 @@ M4J_ALWAYS_INLINE uint64_t scanPackedWith(const uint8_t *Packed,
   return UINT64_MAX;
 }
 
-} // namespace
-
 uint64_t scanMismatchPackedScalar(const uint8_t *Packed, uint64_t FirstGranule,
                                   uint64_t Count, TagValue Expected) {
   for (uint64_t I = 0; I < Count; ++I) {
@@ -198,17 +128,6 @@ uint64_t scanMismatchPackedScalar(const uint8_t *Packed, uint64_t FirstGranule,
       return I;
   }
   return UINT64_MAX;
-}
-
-uint64_t scanMismatchPackedSwar(const uint8_t *Packed, uint64_t FirstGranule,
-                                uint64_t Count, TagValue Expected) {
-  return scanPackedWith<scanMismatchSwar>(Packed, FirstGranule, Count,
-                                          Expected);
-}
-
-uint64_t scanMismatchPacked(const uint8_t *Packed, uint64_t FirstGranule,
-                            uint64_t Count, TagValue Expected) {
-  return scanPackedWith<scanMismatch>(Packed, FirstGranule, Count, Expected);
 }
 
 namespace {
@@ -375,8 +294,8 @@ uint64_t TaggedRegion::findMismatch(uint64_t FirstIdx, uint64_t LastIdx,
     uint64_t Line = G >> kLineShift;
     uint64_t LineFirst = Line << kLineShift;
     // Contiguous run of lines wholly inside [FirstIdx, LastIdx]: sweep
-    // their summary bytes with the byte kernels — one compare per 64
-    // granules, 2048 granules per AVX2 iteration.
+    // their summary bytes with the byte kernel — one compare per 64
+    // granules, 512 granules per SWAR word.
     if (G == LineFirst && LastIdx >= LineFirst + lineGranules(Line) - 1) {
       // A short tail line (region size not a line multiple) has FullLines
       // land at 0 here; the per-line path below covers it.

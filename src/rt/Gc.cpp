@@ -15,7 +15,6 @@
 #include "mte4jni/support/SpinLock.h"
 #include "mte4jni/support/Syscall.h"
 #include "mte4jni/support/ThreadPool.h"
-#include "mte4jni/support/TraceEvents.h"
 #include "mte4jni/support/TraceRing.h"
 
 #include <algorithm>
@@ -264,7 +263,6 @@ GcResult GcController::collect() {
   // Parallel phase workers read only headers (mark/sweep never touch
   // payloads), so they need no TCO setup of their own.
   mte::ScopedTco TcoForGc(Config.SuppressTagChecks);
-  support::ScopedTrace Trace("GC.collect", "gc");
   GcMetrics &GM = gcMetrics();
   uint64_t CollectStart = support::monotonicNanos();
   // The stop-the-world window: from the pause *request* (mutators may be
@@ -360,7 +358,6 @@ GcResult GcController::collect() {
 
 void GcController::verifyPass(GcResult &Result) {
   support::ScopedFrame Frame("art::gc::VerifyHeapReferences", "libart.so");
-  support::ScopedTrace Trace("GC.verify", "gc");
   uint8_t Sink = 0;
   RT.heap().forEachObject([&](ObjectHeader *Obj) {
     // Header read (its granule is never tagged: headers are metadata).
@@ -378,12 +375,6 @@ void GcController::verifyPass(GcResult &Result) {
     Result.PayloadBytesVerified += Bytes;
   });
   VerifySink = Sink;
-}
-
-uint64_t GcController::verifyHeap() {
-  GcResult Result;
-  verifyPass(Result);
-  return Result.ObjectsVerified;
 }
 
 } // namespace mte4jni::rt

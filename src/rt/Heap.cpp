@@ -23,7 +23,7 @@ namespace {
 
 /// Allocation-pipeline composition: how often the TLAB bump wins, how often
 /// it refills, and how often an allocation bypasses it entirely (big
-/// objects, overflow-shard threads, TlabBytes=0). Free-list reuse is
+/// objects, overflow-shard threads). Free-list reuse is
 /// tracked in HeapStats (per heap); these are process-wide rates.
 struct HeapMetrics {
   support::Counter &TlabHit = support::Metrics::counter("rt/heap/tlab_hit");
@@ -36,16 +36,13 @@ struct HeapMetrics {
   support::Gauge &BitmapBytes =
       support::Metrics::gauge("rt/heap/bitmap_bytes");
   /// Why an allocation left the TLAB bump path (fast-path attribution):
-  /// refill = normal TLAB exhaustion; big_object = Size * 4 > TlabBytes;
-  /// tlab_off = TlabBytes 0 or non-TLAB pipeline; overflow_shard = more
-  /// live threads than shards; frontier_exhausted = the bump frontier ran
-  /// out and the free lists were scavenged.
+  /// refill = normal TLAB exhaustion; big_object = Size * 4 > TLAB size;
+  /// overflow_shard = more live threads than shards; frontier_exhausted =
+  /// the bump frontier ran out and the free lists were scavenged.
   support::Counter &SlowRefill =
       support::Metrics::counter("rt/heap/tlab_slow_reason/refill");
   support::Counter &SlowBigObject =
       support::Metrics::counter("rt/heap/tlab_slow_reason/big_object");
-  support::Counter &SlowTlabOff =
-      support::Metrics::counter("rt/heap/tlab_slow_reason/tlab_off");
   support::Counter &SlowOverflowShard =
       support::Metrics::counter("rt/heap/tlab_slow_reason/overflow_shard");
   support::Counter &SlowFrontierExhausted = support::Metrics::counter(
@@ -84,12 +81,11 @@ JavaHeap::JavaHeap(const HeapConfig &Config) : Config(Config) {
 
   // Clamp the TLAB so tiny test heaps (4 KiB OOM fixtures) are not eaten
   // by the first refill.
-  if (Config.Pipeline == AllocPipeline::Tlab && Config.TlabBytes != 0)
-    EffTlabBytes = support::alignTo(
-        std::min<uint64_t>(Config.TlabBytes,
-                           std::max<uint64_t>(this->Config.CapacityBytes / 16,
-                                              mte::kGranuleSize)),
-        Config.Alignment);
+  TlabSize = support::alignTo(
+      std::min<uint64_t>(kTlabSize,
+                         std::max<uint64_t>(this->Config.CapacityBytes / 16,
+                                            mte::kGranuleSize)),
+      Config.Alignment);
 
   if (Config.ProtMte)
     mte::MteSystem::instance().registerRegion(
@@ -159,16 +155,13 @@ void JavaHeap::pushToShard(FreeShard &FS, uint64_t Size, uint64_t Addr) {
 
 uint64_t JavaHeap::allocSlow(uint64_t Size, unsigned Shard,
                              bool &FreeListHit) {
-  // TLAB-worthy sizes refill the shard's buffer; big objects, TlabBytes=0
-  // and overflow-shard threads carve exactly what they need.
-  bool Refill = Shard != kOverflowShard && EffTlabBytes != 0 &&
-                Size * 4 <= EffTlabBytes;
+  // TLAB-worthy sizes refill the shard's buffer; big objects and
+  // overflow-shard threads carve exactly what they need.
+  bool Refill = Shard != kOverflowShard && Size * 4 <= TlabSize;
   HeapMetrics &HM = heapMetrics();
   if (Shard == kOverflowShard)
     HM.SlowOverflowShard.add();
-  else if (EffTlabBytes == 0)
-    HM.SlowTlabOff.add();
-  else if (Size * 4 > EffTlabBytes)
+  else if (Size * 4 > TlabSize)
     HM.SlowBigObject.add();
   else
     HM.SlowRefill.add();
@@ -181,7 +174,7 @@ uint64_t JavaHeap::allocSlow(uint64_t Size, unsigned Shard,
           Config.Alignment);
       uint64_t Limit = Base + Config.CapacityBytes;
       uint64_t Avail = Aligned < Limit ? Limit - Aligned : 0;
-      uint64_t Take = std::min<uint64_t>(EffTlabBytes, Avail);
+      uint64_t Take = std::min<uint64_t>(TlabSize, Avail);
       if (Take >= Size) {
         BumpOffset.store((Aligned + Take) - Base, std::memory_order_release);
         TlabStart = Aligned;
@@ -239,38 +232,6 @@ uint64_t JavaHeap::allocSlow(uint64_t Size, unsigned Shard,
   return 0;
 }
 
-ObjectHeader *JavaHeap::finishAlloc(uint64_t Addr, uint32_t ClassWord,
-                                    uint32_t Length, uint64_t Size,
-                                    unsigned Shard, bool FreeListHit) {
-  auto *Obj = reinterpret_cast<ObjectHeader *>(Addr);
-  Obj->ClassWord = ClassWord;
-  Obj->Length = Length;
-  Obj->SizeBytes = static_cast<uint32_t>(Size);
-  Obj->Flags = 0;
-  std::memset(Obj->data(), 0, Size - sizeof(ObjectHeader));
-
-  // Tag-on-allocation ablation: colour the payload now, once, for the
-  // object's whole lifetime. Lock-free under the Tlab pipeline: the block
-  // is thread-exclusive until the liveness bit below publishes it.
-  if (Config.TagOnAlloc && Size > sizeof(ObjectHeader)) {
-    auto Tagged = mte::irg(mte::TaggedPtr<void>::fromRaw(Obj->data(), 0));
-    mte::setTagRange(Tagged, Size - sizeof(ObjectHeader));
-  }
-
-  // Publish: release so a lock-free isLiveObject/forEachObject that sees
-  // the bit also sees the initialised header.
-  setLiveBit(Addr, std::memory_order_release);
-
-  StatShard &St = StatShards[Shard];
-  statAdd(St.BytesAllocated, static_cast<int64_t>(Size), Shard);
-  statAdd(St.BytesLive, static_cast<int64_t>(Size), Shard);
-  statAdd(St.ObjectsAllocated, 1, Shard);
-  statAdd(St.ObjectsLive, 1, Shard);
-  if (FreeListHit)
-    statAdd(St.FreeListHits, 1, Shard);
-  return Obj;
-}
-
 ObjectHeader *JavaHeap::allocObject(uint32_t ClassWord, uint32_t Length,
                                     uint64_t PayloadBytes) {
   uint64_t Size = support::alignTo(sizeof(ObjectHeader) + PayloadBytes,
@@ -283,28 +244,6 @@ ObjectHeader *JavaHeap::allocObject(uint32_t ClassWord, uint32_t Length,
   support::SampledLatency Lat(AllocNanos);
 
   unsigned Shard = support::detail::metricShard();
-
-  if (M4J_UNLIKELY(Config.Pipeline == AllocPipeline::GlobalLock)) {
-    // Ablation baseline: the seed allocator's serialisation, data
-    // structures AND critical-section extent — one mutex held across the
-    // ordered free-list lookup, the std::set liveness insert, header
-    // init, the payload memset and the TagOnAlloc colouring.
-    std::lock_guard<std::mutex> Guard(RefillLock);
-    uint64_t Addr = 0;
-    bool FreeListHit = false;
-    auto It = SeedFree.find(Size);
-    if (It != SeedFree.end() && !It->second.empty()) {
-      Addr = It->second.back();
-      It->second.pop_back();
-      FreeListHit = true;
-    } else {
-      Addr = carveLocked(Size);
-    }
-    if (!Addr)
-      return nullptr; // OutOfMemoryError territory
-    SeedLive.insert(Addr);
-    return finishAlloc(Addr, ClassWord, Length, Size, Shard, FreeListHit);
-  }
 
   // Fast path: same-size reuse from the home shard (kept ahead of the
   // TLAB so a free-then-realloc round trip returns the same address,
@@ -333,7 +272,34 @@ ObjectHeader *JavaHeap::allocObject(uint32_t ClassWord, uint32_t Length,
   }
   if (!Addr)
     return nullptr; // OutOfMemoryError territory
-  return finishAlloc(Addr, ClassWord, Length, Size, Shard, FreeListHit);
+
+  auto *Obj = reinterpret_cast<ObjectHeader *>(Addr);
+  Obj->ClassWord = ClassWord;
+  Obj->Length = Length;
+  Obj->SizeBytes = static_cast<uint32_t>(Size);
+  Obj->Flags = 0;
+  std::memset(Obj->data(), 0, Size - sizeof(ObjectHeader));
+
+  // Tag-on-allocation ablation: colour the payload now, once, for the
+  // object's whole lifetime. Lock-free: the block is thread-exclusive
+  // until the liveness bit below publishes it.
+  if (Config.TagOnAlloc && Size > sizeof(ObjectHeader)) {
+    auto Tagged = mte::irg(mte::TaggedPtr<void>::fromRaw(Obj->data(), 0));
+    mte::setTagRange(Tagged, Size - sizeof(ObjectHeader));
+  }
+
+  // Publish: release so a lock-free isLiveObject/forEachObject that sees
+  // the bit also sees the initialised header.
+  setLiveBit(Addr, std::memory_order_release);
+
+  StatShard &St = StatShards[Shard];
+  statAdd(St.BytesAllocated, static_cast<int64_t>(Size), Shard);
+  statAdd(St.BytesLive, static_cast<int64_t>(Size), Shard);
+  statAdd(St.ObjectsAllocated, 1, Shard);
+  statAdd(St.ObjectsLive, 1, Shard);
+  if (FreeListHit)
+    statAdd(St.FreeListHits, 1, Shard);
+  return Obj;
 }
 
 ObjectHeader *JavaHeap::allocPrimArray(PrimType Elem, uint32_t Length) {
@@ -357,27 +323,6 @@ void JavaHeap::free(ObjectHeader *Obj) {
   M4J_ASSERT(contains(Obj) && (Addr & (Config.Alignment - 1)) == 0,
              "freeing unknown object");
   unsigned Shard = support::detail::metricShard();
-
-  if (M4J_UNLIKELY(Config.Pipeline == AllocPipeline::GlobalLock)) {
-    // Seed fidelity: one mutex across the liveness-set find/erase, stats,
-    // tag clear, poison and the free-list map push.
-    std::lock_guard<std::mutex> Guard(RefillLock);
-    auto It = SeedLive.find(Addr);
-    M4J_ASSERT(It != SeedLive.end(), "freeing unknown object");
-    SeedLive.erase(It);
-    clearLiveBit(Addr);
-    uint64_t Size = Obj->SizeBytes;
-    StatShard &St = StatShards[Shard];
-    statAdd(St.BytesLive, -static_cast<int64_t>(Size), Shard);
-    statAdd(St.ObjectsLive, -1, Shard);
-    statAdd(St.ObjectsFreed, 1, Shard);
-    if (Config.TagOnAlloc && Size > sizeof(ObjectHeader))
-      mte::clearTagRange(Obj->dataAddress(), Size - sizeof(ObjectHeader));
-    notifyFreedRange(Obj, Size);
-    Obj->ClassWord = 0xDEADDEAD;
-    SeedFree[Size].push_back(Addr);
-    return;
-  }
 
   // Unpublish first: a lock-free isLiveObject never observes a poisoned
   // live object. Also asserts the bit was set (double-free detector).
@@ -493,12 +438,6 @@ std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
     FS.Count.store(0, std::memory_order_relaxed);
     Tlabs[I].Cur.store(0, std::memory_order_relaxed);
     Tlabs[I].End.store(0, std::memory_order_relaxed);
-  }
-  if (Config.Pipeline == AllocPipeline::GlobalLock) {
-    SeedFree.clear();
-    SeedLive.clear();
-    for (ObjectHeader *Obj : Final)
-      SeedLive.insert(reinterpret_cast<uint64_t>(Obj));
   }
   return Moved;
 }

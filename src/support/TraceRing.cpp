@@ -201,6 +201,8 @@ const char *flightEventName(FlightKind Kind, uint8_t Arg) {
     const bool Acq = Kind == FlightKind::TagAcquire;
     if (Arg == 0)
       return Acq ? "TagTable.acquire.fast" : "TagTable.release.fast";
+    if (Arg == kTagOutcomeMutex)
+      return Acq ? "TagTable.acquire.mutex" : "TagTable.release.mutex";
     switch (static_cast<TagSlowReason>(Arg - 1)) {
     case TagSlowReason::SlotCold:
       return Acq ? "TagTable.acquire.slow:slot_cold"
@@ -232,13 +234,9 @@ const char *flightEventName(FlightKind Kind, uint8_t Arg) {
   case FlightKind::CheckScan:
     switch (Arg) {
     case 0:
-      return "Access.checkRange:scalar";
+      return "Access.checkRange:packed";
     case 1:
-      return "Access.checkRange:swar";
-    case 2:
-      return "Access.checkRange:sse2";
-    case 3:
-      return "Access.checkRange:avx2";
+      return "Access.checkRange:summary";
     default:
       return "Access.checkRange:?";
     }

@@ -7,6 +7,7 @@
 
 #include "mte4jni/api/Session.h"
 #include "mte4jni/core/TagAllocator.h"
+#include "mte4jni/mte/Access.h"
 #include "mte4jni/mte/TaggedArena.h"
 #include "mte4jni/support/TraceRing.h"
 
@@ -21,6 +22,7 @@ using namespace mte4jni;
 using support::FlightKind;
 using support::FlightRecorder;
 using support::FlightScope;
+using support::SampledLatency;
 
 class FlightTest : public ::testing::Test {
 protected:
@@ -77,7 +79,9 @@ bool jsonStructurallyValid(const std::string &Text) {
 
 TEST_F(FlightTest, RecordedEventsExportAsChromeSlices) {
   FlightRecorder::setThreadLabel("flight-test-main");
-  FlightRecorder::record(FlightKind::CheckScan, /*Arg=*/3, /*Arg2=*/128,
+  FlightRecorder::record(FlightKind::CheckScan, /*Arg=*/0, /*Arg2=*/16,
+                         /*StartNanos=*/900, /*DurNanos=*/50);
+  FlightRecorder::record(FlightKind::CheckScan, /*Arg=*/1, /*Arg2=*/128,
                          /*StartNanos=*/1000, /*DurNanos=*/250);
   FlightRecorder::record(FlightKind::GcPhase,
                          static_cast<uint8_t>(support::GcFlightPhase::Mark), 0,
@@ -87,7 +91,9 @@ TEST_F(FlightTest, RecordedEventsExportAsChromeSlices) {
   EXPECT_TRUE(jsonStructurallyValid(Json)) << Json;
   EXPECT_NE(Json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(Json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(Json.find("Access.checkRange:avx2"), std::string::npos);
+  EXPECT_NE(Json.find("Access.checkRange:packed"), std::string::npos);
+  EXPECT_NE(Json.find("Access.checkRange:summary"), std::string::npos);
+  EXPECT_EQ(Json.find(":?"), std::string::npos) << "unnamed slice: " << Json;
   EXPECT_NE(Json.find("\"arg2\":128"), std::string::npos);
   EXPECT_NE(Json.find("GC.mark"), std::string::npos);
   EXPECT_NE(Json.find("flight-test-main"), std::string::npos);
@@ -120,6 +126,38 @@ TEST_F(FlightTest, OffLevelArmsNothing) {
   EXPECT_EQ(FlightRecorder::totalRecorded(), Before);
 }
 
+// Arming is decided once, at construction: a scope that straddles a level
+// change neither records a slice it never timed the start of, nor drops
+// one it already started.
+TEST_F(FlightTest, ArmingIsDecidedAtConstruction) {
+  support::Histogram &H = support::Metrics::histogram("test/flight/arming");
+  uint64_t Before = FlightRecorder::totalRecorded();
+  support::obs::setLevel(0);
+  {
+    FlightScope Scope(FlightKind::TagAcquire);
+    SampledLatency Lat(H, FlightKind::TagRelease);
+    support::obs::setLevel(2);
+  }
+  EXPECT_EQ(FlightRecorder::totalRecorded(), Before);
+
+  {
+    FlightScope Scope(FlightKind::TagAcquire);
+    support::obs::setLevel(0);
+  }
+  EXPECT_EQ(FlightRecorder::totalRecorded(), Before + 1);
+
+  support::obs::setLevel(2);
+  {
+    SampledLatency Lat(H, FlightKind::TagRelease);
+    support::obs::setLevel(0);
+  }
+  EXPECT_EQ(FlightRecorder::totalRecorded(), Before + 2);
+  support::MetricsSnapshot Snap = support::Metrics::snapshot();
+  const support::HistogramSample *Sample = Snap.histogram("test/flight/arming");
+  ASSERT_NE(Sample, nullptr);
+  EXPECT_EQ(Sample->Count, 1u);
+}
+
 TEST_F(FlightTest, SampledLevelRecordsASubset) {
   support::obs::setLevel(1);
   uint64_t Before = FlightRecorder::totalRecorded();
@@ -144,6 +182,10 @@ TEST_F(FlightTest, SessionWorkloadCoversThreeSubsystems) {
                  [&] {
                    jni::jboolean IsCopy;
                    auto P = Main.env().GetIntArrayElements(A, &IsCopy);
+                   // One checked range per CheckScan label: 64 granules
+                   // (a summary walk) and one granule (a packed scan).
+                   mte::checkReadRange(P.cast<const void>(), 256 * 4);
+                   mte::checkReadRange(P.cast<const void>(), 16);
                    Main.env().ReleaseIntArrayElements(A, P, 0);
                    return 0;
                  });
@@ -157,7 +199,14 @@ TEST_F(FlightTest, SessionWorkloadCoversThreeSubsystems) {
   EXPECT_NE(Json.find("\"cat\":\"core/tagtable\""), std::string::npos);
   EXPECT_NE(Json.find("\"cat\":\"rt/gc\""), std::string::npos);
   EXPECT_NE(Json.find("\"name\":\"JNI.call\""), std::string::npos);
-  EXPECT_NE(Json.find("GC.collect"), std::string::npos);
+  EXPECT_NE(Json.find("\"name\":\"JNI.acquire\""), std::string::npos);
+  EXPECT_NE(Json.find("\"name\":\"JNI.release\""), std::string::npos);
+  EXPECT_NE(Json.find("\"name\":\"TagTable.acquire"), std::string::npos);
+  EXPECT_NE(Json.find("\"name\":\"GC.collect\""), std::string::npos);
+  EXPECT_NE(Json.find("\"name\":\"GC.verify\""), std::string::npos);
+  EXPECT_NE(Json.find("Access.checkRange:summary"), std::string::npos);
+  EXPECT_NE(Json.find("Access.checkRange:packed"), std::string::npos);
+  EXPECT_EQ(Json.find(":?"), std::string::npos) << "unnamed slice: " << Json;
   EXPECT_NE(Json.find("flight-main"), std::string::npos);
 
   // writeTraceJson writes exactly that document.
@@ -184,6 +233,44 @@ TEST_F(FlightTest, SessionWorkloadCoversThreeSubsystems) {
   const support::HistogramSample *Rel = Snap.histogram("jni/release_nanos");
   ASSERT_NE(Rel, nullptr);
   EXPECT_GT(Rel->Count, 0u);
+}
+
+// Every tag-table kind is traced: fig6 compares all three, so each must
+// show its acquire/release slices, and the mutex kinds — which lock on
+// every operation — must never be labelled as fast-path hits.
+TEST_F(FlightTest, EveryTagTableKindRecordsAcquireAndRelease) {
+  for (core::TagTableKind Kind :
+       {core::TagTableKind::LockFree, core::TagTableKind::TwoTierMutex,
+        core::TagTableKind::GlobalLock}) {
+    FlightRecorder::clear();
+    {
+      api::SessionConfig C;
+      C.Protection = api::Scheme::Mte4JniSync;
+      C.Locks = Kind;
+      C.TraceMode = support::FlightMode::Full;
+      api::Session S(C);
+      api::ScopedAttach Main(S, "flight-kinds");
+      rt::HandleScope Scope(S.runtime());
+      jni::jarray A = Main.env().NewIntArray(Scope, 64);
+      rt::callNative(Main.thread(), rt::NativeKind::Regular, "pin_once", [&] {
+        jni::jboolean IsCopy;
+        auto P = Main.env().GetIntArrayElements(A, &IsCopy);
+        Main.env().ReleaseIntArrayElements(A, P, 0);
+        return 0;
+      });
+    }
+    std::string Json = FlightRecorder::exportChromeJson();
+    SCOPED_TRACE(core::tagTableKindName(Kind));
+    EXPECT_NE(Json.find("\"name\":\"TagTable.acquire"), std::string::npos);
+    EXPECT_NE(Json.find("\"name\":\"TagTable.release"), std::string::npos);
+    if (Kind != core::TagTableKind::LockFree) {
+      EXPECT_EQ(Json.find(".fast\""), std::string::npos) << Json;
+      EXPECT_NE(Json.find("\"name\":\"TagTable.acquire.mutex\""),
+                std::string::npos);
+      EXPECT_NE(Json.find("\"name\":\"TagTable.release.mutex\""),
+                std::string::npos);
+    }
+  }
 }
 
 TEST_F(FlightTest, SlowReasonCountersExplainLockFreeSlowPath) {

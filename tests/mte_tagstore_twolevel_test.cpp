@@ -15,9 +15,9 @@
 //     op so the summary-sweep fall-through path is actually sampled;
 //   * a targeted regression test for the sweep fall-through computing
 //     LineLast from a stale LineFirst (out-of-bounds packed scan);
-//   * packed-nibble kernel equivalence (SWAR and dispatch vs the scalar
-//     reference) across every dispatch-size bucket, both start parities,
-//     and planted mismatches at edge/body nibbles;
+//   * packed-nibble kernel equivalence (SWAR vs the scalar reference)
+//     across sizes around the 8-byte word boundaries, both start
+//     parities, and planted mismatches at edge/body nibbles;
 //   * summary maintenance: whole-line fills publish Uniform, narrower
 //     writes demote, scans lazily re-promote;
 //   * ThreadSanitizer-facing tests: concurrent writers hammering
@@ -174,8 +174,8 @@ TEST(TagStoreTwoLevel, RandomizedEquivalenceVsReferenceModel) {
 //===----------------------------------------------------------------------===//
 
 TEST(TagStoreTwoLevel, PackedKernelEquivalence) {
-  // Sizes straddle every dispatch threshold of the underlying byte
-  // kernels (SWAR < 16 packed bytes <= SSE2 < 32 <= AVX2), in granules.
+  // Sizes, in granules, straddle the SWAR kernel's 8-byte (16-granule)
+  // word boundaries and its byte tail.
   const uint64_t Sizes[] = {0,  1,  2,  3,  7,  8,  15, 16,  17,  31,  32,
                             33, 63, 64, 65, 96, 127, 128, 129, 255, 1024};
   support::Xoshiro256 R(0x51ce9bb3u);
@@ -190,14 +190,10 @@ TEST(TagStoreTwoLevel, PackedKernelEquivalence) {
         uint64_t First = R.nextBelow(64) * 2 + Parity;
         uint64_t Want = detail::scanMismatchPackedScalar(Packed.data(), First,
                                                          Count, Expected);
-        EXPECT_EQ(detail::scanMismatchPackedSwar(Packed.data(), First, Count,
-                                                 Expected),
-                  Want)
-            << "swar first=" << First << " count=" << Count;
         EXPECT_EQ(
             detail::scanMismatchPacked(Packed.data(), First, Count, Expected),
             Want)
-            << "dispatch first=" << First << " count=" << Count;
+            << "first=" << First << " count=" << Count;
       }
     }
   }
@@ -218,9 +214,6 @@ TEST(TagStoreTwoLevel, PackedKernelPlantedMismatches) {
       uint64_t Want = Bad >= First ? Bad - First : UINT64_MAX;
       EXPECT_EQ(detail::scanMismatchPackedScalar(Packed.data(), First,
                                                  Total - First, 7),
-                Want);
-      EXPECT_EQ(detail::scanMismatchPackedSwar(Packed.data(), First,
-                                               Total - First, 7),
                 Want);
       EXPECT_EQ(
           detail::scanMismatchPacked(Packed.data(), First, Total - First, 7),

@@ -190,34 +190,6 @@ TEST(RtHeapConcurrent, MoreThreadsThanShardsReconcile) {
   EXPECT_EQ(Stats.BytesLive, 0u);
 }
 
-TEST(RtHeapConcurrent, GlobalLockPipelineStillExact) {
-  // The ablation baseline must keep the same external contract.
-  HeapConfig C = plainHeapConfig();
-  C.Pipeline = AllocPipeline::GlobalLock;
-  JavaHeap Heap(C);
-
-  ObjectHeader *A = Heap.allocPrimArray(PrimType::Int, 64);
-  uint64_t Addr = reinterpret_cast<uint64_t>(A);
-  Heap.free(A);
-  ObjectHeader *B = Heap.allocPrimArray(PrimType::Int, 64);
-  EXPECT_EQ(reinterpret_cast<uint64_t>(B), Addr)
-      << "free-then-realloc reuses the block";
-  EXPECT_EQ(Heap.stats().FreeListHits, 1u);
-
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < kThreads; ++T)
-    Threads.emplace_back([&] {
-      for (unsigned I = 0; I < 500; ++I) {
-        ObjectHeader *Obj = Heap.allocPrimArray(PrimType::Int, 32);
-        ASSERT_NE(Obj, nullptr);
-        Heap.free(Obj);
-      }
-    });
-  for (auto &Th : Threads)
-    Th.join();
-  EXPECT_EQ(Heap.stats().ObjectsLive, 1u); // just B
-}
-
 TEST(RtHeapConcurrent, AllocWhileBackgroundGcRuns) {
   RuntimeConfig C;
   C.Heap.CapacityBytes = 16 << 20;
