@@ -116,7 +116,7 @@ int main(int Argc, char **Argv) {
   std::printf("\n== global lock, for reference ==\n");
   {
     core::TagAllocatorOptions AO;
-    AO.Locks = core::LockScheme::GlobalLock;
+    AO.Locks = core::TagTableKind::GlobalLock;
     double Ops = throughput(AO, Threads, Iters, Arena);
     std::printf("  global    %12.0f ops/s   (%.2fx of two-tier k=16)\n",
                 Ops, Ops / KSixteen);

@@ -42,7 +42,7 @@ constexpr unsigned kArrayInts = 1024;
 struct SchemeUnderTest {
   const char *Label;
   api::Scheme Protection;
-  core::LockScheme Locks;
+  core::TagTableKind Locks;
 };
 
 /// Reads the whole array once through the JNI pointer.
@@ -135,14 +135,15 @@ int main(int Argc, char **Argv) {
       {"mte4jni+async (lock-free)", api::Scheme::Mte4JniAsync,
        core::TagTableKind::LockFree},
       {"mte4jni+sync  (two-tier)", api::Scheme::Mte4JniSync,
-       core::LockScheme::TwoTier},
+       core::TagTableKind::TwoTierMutex},
       {"mte4jni+async (two-tier)", api::Scheme::Mte4JniAsync,
-       core::LockScheme::TwoTier},
+       core::TagTableKind::TwoTierMutex},
       {"mte4jni+sync  (global lock)", api::Scheme::Mte4JniSync,
-       core::LockScheme::GlobalLock},
+       core::TagTableKind::GlobalLock},
       {"mte4jni+async (global lock)", api::Scheme::Mte4JniAsync,
-       core::LockScheme::GlobalLock},
-      {"guarded copy", api::Scheme::GuardedCopy, core::LockScheme::TwoTier},
+       core::TagTableKind::GlobalLock},
+      {"guarded copy", api::Scheme::GuardedCopy,
+       core::TagTableKind::TwoTierMutex},
   };
 
   BenchReport Report("fig6_multi_thread");
@@ -152,7 +153,7 @@ int main(int Argc, char **Argv) {
                 SameArray ? "the SAME array (object-lock contention)"
                           : "its OWN array (table-lock contention)");
     SchemeUnderTest None{"no protection", api::Scheme::NoProtection,
-                         core::LockScheme::TwoTier};
+                         core::TagTableKind::TwoTierMutex};
     double Baseline = runTest(None, Threads, Iters, SameArray, Options.Seed);
     std::printf("  %-30s %8.3fs   1.00x (baseline)\n", None.Label, Baseline);
     Report.addRow(support::format("%s/no_protection", Test), Baseline, "s",
@@ -170,7 +171,7 @@ int main(int Argc, char **Argv) {
         Guarded = Ratio;
       else if (SUT.Locks == core::TagTableKind::LockFree)
         LockFree += Ratio / 2;
-      else if (SUT.Locks == core::LockScheme::TwoTier)
+      else if (SUT.Locks == core::TagTableKind::TwoTierMutex)
         TwoTier += Ratio / 2;
       else
         Global += Ratio / 2;

@@ -227,9 +227,9 @@ BENCHMARK_TEMPLATE(BM_TagScan, mte::detail::scanMismatch)
     ->Range(64, 64 << 10);
 
 /// Algorithm 1+2 round trip, single thread.
-template <core::LockScheme Scheme>
+template <core::TagTableKind Kind>
 void BM_AcquireRelease(benchmark::State &State) {
-  core::TagAllocator Alloc(Scheme);
+  core::TagAllocator Alloc(Kind);
   uint64_t Bytes = static_cast<uint64_t>(State.range(0));
   void *Buf = arena().allocate(Bytes);
   uint64_t Begin = reinterpret_cast<uint64_t>(Buf);
@@ -242,9 +242,9 @@ void BM_AcquireRelease(benchmark::State &State) {
 }
 BENCHMARK_TEMPLATE(BM_AcquireRelease, core::TagTableKind::LockFree)
     ->Range(64, 16 << 10);
-BENCHMARK_TEMPLATE(BM_AcquireRelease, core::LockScheme::TwoTier)
+BENCHMARK_TEMPLATE(BM_AcquireRelease, core::TagTableKind::TwoTierMutex)
     ->Range(64, 16 << 10);
-BENCHMARK_TEMPLATE(BM_AcquireRelease, core::LockScheme::GlobalLock)
+BENCHMARK_TEMPLATE(BM_AcquireRelease, core::TagTableKind::GlobalLock)
     ->Range(64, 16 << 10);
 
 /// The same lock-free round trip with deferred tag-clear disabled — the
@@ -292,33 +292,15 @@ BENCHMARK_TEMPLATE(BM_AcquireReleaseObsLevel, 0)
 BENCHMARK_TEMPLATE(BM_AcquireReleaseObsLevel, 1)
     ->Name("BM_AcquireReleaseObsSampled");
 
-/// Lock-free round trip with the slot hint the JNI pin record caches: the
-/// acquire hands back the resolved Slot*, the release consumes it — the
-/// Get/Release pair probes the table once instead of twice.
-void BM_AcquireReleaseCachedSlot(benchmark::State &State) {
-  core::TagAllocator Alloc(core::TagTableKind::LockFree);
-  uint64_t Bytes = static_cast<uint64_t>(State.range(0));
-  void *Buf = arena().allocate(Bytes);
-  uint64_t Begin = reinterpret_cast<uint64_t>(Buf);
-  for (auto _ : State) {
-    core::TagTable::Slot *Hint = nullptr;
-    benchmark::DoNotOptimize(Alloc.acquire(Begin, Begin + Bytes, &Hint));
-    Alloc.release(Begin, Begin + Bytes, Hint);
-  }
-  arena().deallocate(Buf);
-  State.SetBytesProcessed(int64_t(State.iterations()) * int64_t(Bytes));
-}
-BENCHMARK(BM_AcquireReleaseCachedSlot)->Range(64, 16 << 10);
-
 /// Multi-threaded contention ablation: every benchmark thread hammers its
 /// OWN object — the Figure 6 "different array" scenario where the global
 /// lock hurts and the two-tier scheme spreads load over shards. Setup is
 /// a magic static (google-benchmark has no pre-loop barrier, so thread 0
 /// doing it would race the other threads' reads of Blocks).
-template <core::LockScheme Scheme>
+template <core::TagTableKind Kind>
 void BM_AcquireReleaseMT(benchmark::State &State) {
   struct Shared {
-    core::TagAllocator Alloc{Scheme};
+    core::TagAllocator Alloc{Kind};
     void *Blocks[64];
     Shared() {
       for (int T = 0; T < 64; ++T)
@@ -337,17 +319,19 @@ BENCHMARK_TEMPLATE(BM_AcquireReleaseMT, core::TagTableKind::LockFree)
     ->Threads(8)
     ->Threads(64)
     ->UseRealTime();
-BENCHMARK_TEMPLATE(BM_AcquireReleaseMT, core::LockScheme::TwoTier)
+BENCHMARK_TEMPLATE(BM_AcquireReleaseMT, core::TagTableKind::TwoTierMutex)
     ->Threads(8)
     ->Threads(64)
     ->UseRealTime();
-BENCHMARK_TEMPLATE(BM_AcquireReleaseMT, core::LockScheme::GlobalLock)
+BENCHMARK_TEMPLATE(BM_AcquireReleaseMT, core::TagTableKind::GlobalLock)
     ->Threads(8)
     ->Threads(64)
     ->UseRealTime();
 
-/// Guarded copy get/release vs MTE4JNI get/release — the core asymmetry
-/// behind Figure 5 (copy + red zones vs tag-per-granule).
+/// Guarded copy get/release; its MTE4JNI counterpart is the
+/// BM_AcquireRelease<TwoTierMutex> row (the paper's locking). The pair is
+/// the core asymmetry behind Figure 5 (copy + red zones vs
+/// tag-per-granule).
 void BM_GuardedCopyRoundTrip(benchmark::State &State) {
   guarded::GuardedCopyPolicy Policy;
   uint64_t Bytes = static_cast<uint64_t>(State.range(0));
@@ -364,20 +348,6 @@ void BM_GuardedCopyRoundTrip(benchmark::State &State) {
   State.SetBytesProcessed(int64_t(State.iterations()) * int64_t(Bytes));
 }
 BENCHMARK(BM_GuardedCopyRoundTrip)->Range(64, 16 << 10);
-
-void BM_Mte4JniRoundTrip(benchmark::State &State) {
-  core::TagAllocator Alloc(core::LockScheme::TwoTier);
-  uint64_t Bytes = static_cast<uint64_t>(State.range(0));
-  void *Buf = arena().allocate(Bytes);
-  uint64_t Begin = reinterpret_cast<uint64_t>(Buf);
-  for (auto _ : State) {
-    benchmark::DoNotOptimize(Alloc.acquire(Begin, Begin + Bytes));
-    Alloc.release(Begin, Begin + Bytes);
-  }
-  arena().deallocate(Buf);
-  State.SetBytesProcessed(int64_t(State.iterations()) * int64_t(Bytes));
-}
-BENCHMARK(BM_Mte4JniRoundTrip)->Range(64, 16 << 10);
 
 /// Console output as usual, but every per-iteration run also lands in a
 /// BenchReport so --json leaves a machine-readable BENCH_micro.json.

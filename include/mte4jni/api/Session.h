@@ -66,8 +66,6 @@ struct SessionConfig {
   /// ablation): lock-free fast path by default; TwoTierMutex is the
   /// paper's published locking, GlobalLock the §3.1 strawman.
   core::TagTableKind Locks = core::TagTableKind::LockFree;
-  /// k, the number of tag hash tables.
-  unsigned NumHashTables = 16;
   /// Optional hardening: exclude neighbouring granules' tags in IRG so
   /// adjacent-object overflows are deterministically caught.
   bool ExcludeAdjacentTags = false;
@@ -76,13 +74,11 @@ struct SessionConfig {
   /// loop) and the next Get of the same range is a pure CAS too. Tags are
   /// reclaimed when the object is freed/swept (the session hooks
   /// rt::JavaHeap's freed-range callback), when its slot is recycled, and
-  /// when MaxResidentTagBytes overflows. Off reproduces the paper's exact
-  /// Algorithm 2 (clear on last release) for the fig6/fig8 ablations —
-  /// note the tradeoff: deferral narrows use-after-release detection to
+  /// when the resident-bytes budget overflows. Off reproduces the paper's
+  /// exact Algorithm 2 (clear on last release) for the fig6/fig8 ablations
+  /// — note the tradeoff: deferral narrows use-after-release detection to
   /// the post-reclaim window.
   bool DeferredTagClear = true;
-  /// Ceiling on lingering (released but still tagged) payload bytes.
-  uint64_t MaxResidentTagBytes = 8ull << 20;
 
   uint64_t HeapBytes = 64ull << 20;
   /// 0 = pick automatically (16 under MTE4JNI per §4.1, else 8).
@@ -97,9 +93,6 @@ struct SessionConfig {
   /// Correct §3.3 behaviour (default). Set false to reproduce the
   /// spurious-fault failure mode of a GC whose checks are left enabled.
   bool GcSuppressTagChecks = true;
-  /// GC worker threads: 0 = auto (min(hardware, 8)), 1 = single-threaded
-  /// ablation baseline.
-  unsigned GcParallelism = 0;
 
   /// Flight-recorder capture mode (process-wide; the constructor applies
   /// it via support::obs::setMode). Sampled keeps hot-path events at ~1/64

@@ -33,43 +33,18 @@
 
 namespace mte4jni::core {
 
-struct Mte4JniOptions {
-  /// Tag-table implementation (lock-free fast path by default; the
-  /// paper's two-tier locking and the global-lock strawman are the
-  /// Figure 6 ablations).
-  TagTableKind Locks = TagTableKind::LockFree;
-  /// k, the number of hash tables (the paper evaluates k = 16).
-  unsigned NumHashTables = 16;
-  /// Capacity of the PROT_MTE scratch arena for UTF-8 copies.
-  uint64_t ScratchArenaBytes = 8ull << 20;
-  /// Optional hardening: never give an object a tag equal to a
-  /// neighbouring granule's tag (see TagAllocatorOptions).
-  bool ExcludeAdjacentTags = false;
-  /// Deferred tag-clear: single-holder release/re-acquire become pure
-  /// CASes, tags are reclaimed lazily (free/sweep hooks, tombstones,
-  /// budget overflow). Off = the paper's exact Algorithm 2 semantics.
-  /// See TagAllocatorOptions::DeferredTagClear.
-  bool DeferredTagClear = true;
-  /// Ceiling on lingering payload bytes when deferral is on.
-  uint64_t MaxResidentTagBytes = 8ull << 20;
-};
-
 class Mte4JniPolicy final : public jni::CheckPolicy {
 public:
-  explicit Mte4JniPolicy(const Mte4JniOptions &Options = {});
+  /// \p ScratchArenaBytes is the capacity of the PROT_MTE scratch arena
+  /// for UTF-8 copies.
+  explicit Mte4JniPolicy(const TagAllocatorOptions &Options = {},
+                         uint64_t ScratchArenaBytes = 8ull << 20);
 
   const char *name() const override { return "mte4jni"; }
 
   uint64_t acquire(const jni::JniBufferInfo &Info, bool &IsCopy) override;
   void release(const jni::JniBufferInfo &Info, uint64_t NativeBits,
                jni::jint Mode) override;
-
-  /// Pin-aware variants: the cookie carries the resolved TagTable::Slot so
-  /// the matching release skips the table probe entirely.
-  uint64_t acquirePinned(const jni::JniBufferInfo &Info, bool &IsCopy,
-                         void *&PinCookie) override;
-  void releasePinned(const jni::JniBufferInfo &Info, uint64_t NativeBits,
-                     jni::jint Mode, void *PinCookie) override;
 
   uint64_t acquireScratch(uint64_t Bytes, const char *Interface) override;
   void releaseScratch(uint64_t NativeBits, uint64_t Bytes,
@@ -78,10 +53,8 @@ public:
   bool exposesDirectPointers() const override { return true; }
 
   TagAllocator &allocator() { return Allocator; }
-  const Mte4JniOptions &options() const { return Options; }
 
 private:
-  Mte4JniOptions Options;
   TagAllocator Allocator;
   mte::TaggedArena Scratch;
 };

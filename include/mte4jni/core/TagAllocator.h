@@ -28,9 +28,9 @@
 /// paper's two-tier locking, and the naive global-lock strawman measured
 /// in Figure 6.
 ///
-/// acquire() can additionally hand back the table slot it resolved, which
-/// release() accepts as a hint — a Get/Release pair through the JNI pin
-/// record then probes the table once, not twice.
+/// On the lock-free table, acquire() and release() find an object's slot
+/// the same way: this thread's slot memo when its entry still holds the
+/// range's begin address, else one lock-free probe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,14 +49,6 @@ class Counter;
 } // namespace mte4jni::support
 
 namespace mte4jni::core {
-
-/// Legacy name for the table-implementation knob (the seed predates the
-/// lock-free build and called this the lock scheme).
-using LockScheme = TagTableKind;
-
-inline const char *lockSchemeName(TagTableKind Kind) {
-  return tagTableKindName(Kind);
-}
 
 /// Optional hardenings beyond the paper's Algorithm 1.
 struct TagAllocatorOptions {
@@ -126,19 +118,13 @@ public:
   /// allocator, so deferred-clear residue must not.
   ~TagAllocator();
 
-  TagTableKind lockScheme() const { return Kind; }
   TagTableKind tableKind() const { return Kind; }
 
   /// Algorithm 1. Returns the tagged pointer bits for [Begin, End).
-  /// When \p CacheOut is non-null and the lock-free table resolved a slot,
-  /// stores it there (else null); pass it back to release() to skip the
-  /// second table probe.
-  uint64_t acquire(uint64_t Begin, uint64_t End,
-                   TagTable::Slot **CacheOut = nullptr);
+  uint64_t acquire(uint64_t Begin, uint64_t End);
 
-  /// Algorithm 2. \p Hint is an optional slot from acquire(); it is
-  /// revalidated against \p Begin, so a stale hint degrades to a probe.
-  void release(uint64_t Begin, uint64_t End, TagTable::Slot *Hint = nullptr);
+  /// Algorithm 2.
+  void release(uint64_t Begin, uint64_t End);
 
   /// Reclaims the lingering (deferred) tags of [Begin, End) if the range
   /// was released but its tags left resident. The security-critical hook:
@@ -159,8 +145,11 @@ public:
 private:
   uint64_t acquireTwoTier(uint64_t Begin, uint64_t End);
   void releaseTwoTier(uint64_t Begin, uint64_t End);
+  /// The lock-free slot lookup acquire and release share: the memo entry
+  /// when its slot still holds \p Begin, else TagTable::probeSlot (whose
+  /// hit is memoised). Null when the key is not in the slot array.
+  TagTable::Slot *findSlot(uint64_t Begin);
   uint64_t acquireLockFreeSlow(uint64_t Begin, uint64_t End,
-                               TagTable::Slot **CacheOut,
                                support::FlightScope &Flight);
   void releaseLockFreeSlow(uint64_t Begin, uint64_t End,
                            support::FlightScope &Flight);

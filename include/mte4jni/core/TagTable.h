@@ -93,9 +93,6 @@ enum class TagTableKind : uint8_t {
   TwoTierMutex = 1,
   /// The §3.1 strawman: one global mutex around the whole operation.
   GlobalLock = 2,
-  /// Legacy spelling of TwoTierMutex (the seed called the paper's design
-  /// LockScheme::TwoTier).
-  TwoTier = TwoTierMutex,
 };
 
 const char *tagTableKindName(TagTableKind Kind);
@@ -227,30 +224,14 @@ public:
   /// the resident bit set (a lingering deferred release; the "warm"
   /// re-acquire) — and the slot still belongs to \p Begin. Returns false
   /// when the caller must take the slow path (cold first holder, slot
-  /// recycled, or key mismatch).
-  static bool tryAcquireShared(Slot &S, uint64_t Begin) {
-    uint64_t St = S.State.load(std::memory_order_acquire);
-    for (;;) {
-      if (refCountOf(St) == 0 && !residentOf(St))
-        return false;
-      if (S.Key.load(std::memory_order_relaxed) != Begin)
-        return false;
-      // The CAS compares the full (epoch, resident, count) word: any
-      // concurrent exact release-to-zero, reclaim or slot reuse changes
-      // it, so success proves the tags stayed valid for this key the
-      // whole time.
-      if (S.State.compare_exchange_weak(St, St + 1,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire))
-        return true;
-    }
-  }
-
-  /// tryAcquireShared with warm-flavour reporting: \p WasWarm is set iff
-  /// this was a 0->1 re-acquire of a lingering slot. No budget traffic —
-  /// resident bytes are charged once at first-holder publish and refunded
-  /// when the tags are actually cleared (exact release, reclaim, or slot
-  /// recycle), so the warm cycle is a single CAS.
+  /// recycled, or key mismatch). \p WasWarm is set iff this was a 0->1
+  /// re-acquire of a lingering slot. The CAS compares the full (epoch,
+  /// resident, count) word: any concurrent exact release-to-zero, reclaim
+  /// or slot reuse changes it, so success proves the tags stayed valid
+  /// for this key the whole time. No budget traffic: resident bytes are
+  /// charged once at first-holder publish and refunded when the tags are
+  /// actually cleared (exact release, reclaim, or slot recycle), so the
+  /// warm cycle is a single CAS.
   bool acquireFast(Slot &S, uint64_t Begin, bool &WasWarm) {
     uint64_t St = S.State.load(std::memory_order_acquire);
     for (;;) {
@@ -268,25 +249,7 @@ public:
     }
   }
 
-  /// The shared-release fast path: decrements the refcount iff it is
-  /// >= 2 — dropping to zero clears tag memory (or defers, see
-  /// releaseFast) and must not race other last-holder handling. Returns
-  /// false when the caller must take the slow path.
-  static bool tryReleaseShared(Slot &S, uint64_t Begin) {
-    uint64_t St = S.State.load(std::memory_order_acquire);
-    for (;;) {
-      if (refCountOf(St) < 2)
-        return false;
-      if (S.Key.load(std::memory_order_relaxed) != Begin)
-        return false;
-      if (S.State.compare_exchange_weak(St, St - 1,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire))
-        return true;
-    }
-  }
-
-  /// The full release fast path: a plain decrement at refcount >= 2, and —
+  /// The release fast path: a plain decrement at refcount >= 2, and —
   /// when the slot is resident and the shard's lingering budget allows —
   /// a *deferred* 1->0 release that leaves the granule tags in place
   /// ({refcount=1, resident=1} -> {refcount=0, resident=1}, one CAS, no

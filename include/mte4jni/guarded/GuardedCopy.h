@@ -15,6 +15,11 @@
 /// offset of the corruption — far from the faulting access, as Figure 4a
 /// shows.
 ///
+/// Like CheckJNI ForceCopy, a Release copies the buffer back into the heap
+/// object (except with JNI_ABORT) and re-verifies an Adler-32 of the
+/// payload taken at Get, warning when a JNI_ABORT release discards
+/// changes. The checksum is a large part of the scheme's O(n) cost.
+///
 /// Inherited limitations (all reproduced, §2.3): out-of-bounds *reads* are
 /// invisible; writes that skip past the red zones are invisible; detection
 /// is deferred to release.
@@ -36,14 +41,6 @@ namespace mte4jni::guarded {
 struct GuardedCopyOptions {
   /// Red-zone size on EACH side of the copy.
   uint64_t RedZoneBytes = 2048;
-  /// Copy the buffer back into the heap object at release (unless
-  /// JNI_ABORT); matches CheckJNI ForceCopy semantics.
-  bool CopyBackOnRelease = true;
-  /// Compute an Adler-32 over the payload at Get and verify/refresh it at
-  /// Release, like ART's GuardedCopy (used there to flag callers that
-  /// modified a buffer they released with JNI_ABORT). A large part of the
-  /// scheme's O(n) cost.
-  bool ChecksumPayload = true;
 };
 
 struct GuardedCopyStats {

@@ -60,24 +60,6 @@ public:
   virtual void release(const JniBufferInfo &Info, uint64_t NativeBits,
                        jint Mode) = 0;
 
-  /// Pin-aware variants. A policy that resolves some internal record while
-  /// acquiring (MTE4JNI: the tag-table slot) can hand it back through
-  /// \p PinCookie; the runtime stores it in the pin record and returns it
-  /// at release so the Get/Release pair touches the policy's table once,
-  /// not twice. The cookie is an optimisation hint only — policies must
-  /// accept null (a release can arrive through a different JNIEnv than
-  /// the acquire). Default implementations forward to the plain pair.
-  virtual uint64_t acquirePinned(const JniBufferInfo &Info, bool &IsCopy,
-                                 void *&PinCookie) {
-    PinCookie = nullptr;
-    return acquire(Info, IsCopy);
-  }
-  virtual void releasePinned(const JniBufferInfo &Info, uint64_t NativeBits,
-                             jint Mode, void *PinCookie) {
-    (void)PinCookie;
-    release(Info, NativeBits, Mode);
-  }
-
   /// Allocates a native scratch buffer of \p Bytes (used for the UTF-8
   /// conversion buffers of GetStringUTFChars). The runtime fills it via
   /// the address part of the returned bits before native code sees it.

@@ -196,20 +196,12 @@ private:
   bool PendingError = false;
   std::string ErrorMessage;
 
-  /// One outstanding Get* pin. The cookie is whatever the policy resolved
-  /// at acquire (MTE4JNI: its tag-table slot) and is handed back at
-  /// release so the Get/Release pair probes the policy's table once, not
-  /// twice. Count handles nested pins of the same buffer, which return
-  /// identical pointer bits (the tag is shared via LDG).
-  struct PinRecord {
-    void *Cookie = nullptr;
-    uint32_t Count = 0;
-  };
-
-  /// Outstanding Get* pins of this env: pointer bits -> record. A JniEnv
-  /// is single-threaded (one per attached thread, like real JNI), so no
-  /// lock is needed.
-  std::unordered_map<uint64_t, PinRecord> Pins;
+  /// Outstanding Get* pins of this env: one per Get, minus one per
+  /// non-JNI_COMMIT Release (never below zero; a Release may arrive
+  /// through another thread's env). Nested Gets of one buffer count once
+  /// each. A JniEnv is single-threaded (one per attached thread, like real
+  /// JNI), so no lock is needed.
+  uint32_t PinDepth = 0;
 
   /// Outstanding GetStringUTFChars buffers: bits -> byte size.
   std::unordered_map<uint64_t, uint64_t> UtfBuffers;

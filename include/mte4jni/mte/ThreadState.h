@@ -117,12 +117,12 @@ public:
 
   // -- tag-slot memo (same-thread only; TagAllocator's acquire/release
   //    fast paths) -------------------------------------------------------
-  /// A small direct-mapped cache of (owner, begin) -> slot pointer that
-  /// extends the JNI pin cache to *un-nested* re-pins across distinct
-  /// Get/Release pairs: the pin record dies with each Release, but the
-  /// memo survives, so the next Get of the same range skips the table
-  /// probe and goes straight to the slot CAS. Entries are hints, never
-  /// trusted: the caller revalidates via the slot's (epoch, resident,
+  /// A small direct-mapped cache of (owner, begin) -> slot pointer: the
+  /// only slot cache. A Release on the thread that ran the Get, and the
+  /// next Get of the same range, skip the table probe and go straight to
+  /// the slot CAS; a miss (another thread, or an evicted entry) costs one
+  /// probe. Entries are hints, never trusted: the caller checks the slot
+  /// still holds the key and revalidates via the slot's (epoch, resident,
   /// refcount) CAS, and \p Owner is the allocator's never-reused identity
   /// so a destroyed allocator's entries can never validate. Stored as
   /// void* to keep this layer ignorant of core::TagTable.

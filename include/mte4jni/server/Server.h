@@ -91,14 +91,6 @@ struct ServerConfig {
 
   /// Fixture sizes (per worker).
   unsigned ArrayInts = 1024;
-  /// Rogue probes read up to this many bytes past the probe array's
-  /// granule extent. Kept well inside the guarded-copy red zone and the
-  /// padding allocations, so the access is always physically mapped.
-  unsigned RogueMaxOffsetBytes = 64;
-
-  /// Simulated syscall cadence (epoll_wait between request batches): the
-  /// point where latched async MTE faults surface, as on real Linux.
-  unsigned SyscallEveryNRequests = 64;
 
   /// When non-empty: stream one metrics snapshot per interval to this
   /// JSONL file while the server runs (see SnapshotStreamer).

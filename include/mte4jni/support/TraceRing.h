@@ -90,7 +90,6 @@ enum class TagSlowReason : uint8_t {
                   ///< try-lock probes failed before blocking) — not merely
                   ///< "held at probe time"
   OverflowSpill,  ///< probe window exhausted; entry lives in the locked map
-  PinCacheMiss,   ///< release arrived without a cached slot hint
   Orphan,         ///< release of an entry already at refcount 0
   DeferredReclaim, ///< lingering budget exhausted: the release must clear
                    ///< tags exactly instead of deferring

@@ -59,7 +59,6 @@ Session::Session(const SessionConfig &Config) : Config(Config) {
   RC.Gc.IntervalMillis = Config.GcIntervalMillis;
   RC.Gc.VerifyObjectBodies = Config.GcVerifiesBodies;
   RC.Gc.SuppressTagChecks = Config.GcSuppressTagChecks;
-  RC.Gc.Parallelism = Config.GcParallelism;
   RC.Seed = Config.Seed;
 
   Runtime = std::make_unique<rt::Runtime>(RC);
@@ -81,13 +80,11 @@ Session::Session(const SessionConfig &Config) : Config(Config) {
     break;
   case Scheme::Mte4JniSync:
   case Scheme::Mte4JniAsync: {
-    core::Mte4JniOptions MO;
-    MO.Locks = Config.Locks;
-    MO.NumHashTables = Config.NumHashTables;
-    MO.ExcludeAdjacentTags = Config.ExcludeAdjacentTags;
-    MO.DeferredTagClear = Config.DeferredTagClear;
-    MO.MaxResidentTagBytes = Config.MaxResidentTagBytes;
-    auto P = std::make_unique<core::Mte4JniPolicy>(MO);
+    core::TagAllocatorOptions AO;
+    AO.Locks = Config.Locks;
+    AO.ExcludeAdjacentTags = Config.ExcludeAdjacentTags;
+    AO.DeferredTagClear = Config.DeferredTagClear;
+    auto P = std::make_unique<core::Mte4JniPolicy>(AO);
     MtePolicy = P.get();
     Policy = std::move(P);
     break;
@@ -158,13 +155,13 @@ std::string Session::statsReport() const {
     const core::TagAllocatorStats &TS = MtePolicy->allocator().stats();
     Out += support::format(
         "mte4jni: %llu acquires (%llu generated / %llu shared), "
-        "%llu releases, %llu tags cleared, lock scheme %s, k=%u\n",
+        "%llu releases, %llu tags cleared, tag table %s, k=%u\n",
         static_cast<unsigned long long>(TS.Acquires.value()),
         static_cast<unsigned long long>(TS.TagsGenerated.value()),
         static_cast<unsigned long long>(TS.TagsShared.value()),
         static_cast<unsigned long long>(TS.Releases.value()),
         static_cast<unsigned long long>(TS.TagsCleared.value()),
-        core::lockSchemeName(MtePolicy->allocator().lockScheme()),
+        core::tagTableKindName(MtePolicy->allocator().tableKind()),
         MtePolicy->allocator().table().numTables());
   }
   if (GuardedPolicy) {

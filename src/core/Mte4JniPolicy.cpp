@@ -9,21 +9,9 @@
 
 namespace mte4jni::core {
 
-namespace {
-TagAllocatorOptions allocatorOptions(const Mte4JniOptions &Options) {
-  TagAllocatorOptions AO;
-  AO.Locks = Options.Locks;
-  AO.NumTables = Options.NumHashTables;
-  AO.ExcludeAdjacentTags = Options.ExcludeAdjacentTags;
-  AO.DeferredTagClear = Options.DeferredTagClear;
-  AO.MaxResidentBytes = Options.MaxResidentTagBytes;
-  return AO;
-}
-} // namespace
-
-Mte4JniPolicy::Mte4JniPolicy(const Mte4JniOptions &Options)
-    : Options(Options), Allocator(allocatorOptions(Options)),
-      Scratch(Options.ScratchArenaBytes) {}
+Mte4JniPolicy::Mte4JniPolicy(const TagAllocatorOptions &Options,
+                             uint64_t ScratchArenaBytes)
+    : Allocator(Options), Scratch(ScratchArenaBytes) {}
 
 uint64_t Mte4JniPolicy::acquire(const jni::JniBufferInfo &Info,
                                 bool &IsCopy) {
@@ -35,28 +23,11 @@ uint64_t Mte4JniPolicy::acquire(const jni::JniBufferInfo &Info,
 
 void Mte4JniPolicy::release(const jni::JniBufferInfo &Info,
                             uint64_t NativeBits, jni::jint Mode) {
-  releasePinned(Info, NativeBits, Mode, nullptr);
-}
-
-uint64_t Mte4JniPolicy::acquirePinned(const jni::JniBufferInfo &Info,
-                                      bool &IsCopy, void *&PinCookie) {
-  IsCopy = false;
-  TagTable::Slot *Slot = nullptr;
-  uint64_t Bits =
-      Allocator.acquire(Info.DataBegin, Info.DataBegin + Info.Bytes, &Slot);
-  PinCookie = Slot;
-  return Bits;
-}
-
-void Mte4JniPolicy::releasePinned(const jni::JniBufferInfo &Info,
-                                  uint64_t NativeBits, jni::jint Mode,
-                                  void *PinCookie) {
   // JNI_COMMIT means the caller keeps using the buffer: the tag must stay.
   if (Mode == jni::JNI_COMMIT)
     return;
   (void)NativeBits; // Algorithm 2 keys on the object's payload address
-  Allocator.release(Info.DataBegin, Info.DataBegin + Info.Bytes,
-                    static_cast<TagTable::Slot *>(PinCookie));
+  Allocator.release(Info.DataBegin, Info.DataBegin + Info.Bytes);
 }
 
 uint64_t Mte4JniPolicy::acquireScratch(uint64_t Bytes,

@@ -126,9 +126,9 @@ SlowReasonMetrics &slowReasonMetrics() {
 }
 
 /// Counts \p Reason and stamps it into the flight slice's outcome byte
-/// (offset by 1; 0 means fast). Secondary signals (shard_contended,
-/// pin_cache_miss) are counted without touching the slice so the exported
-/// outcome stays the primary entry reason.
+/// (offset by 1; 0 means fast). The secondary shard_lock_wait signal is
+/// counted without touching the slice so the exported outcome stays the
+/// primary entry reason.
 void countSlowReason(support::TagSlowReason Reason,
                      support::FlightScope *Flight = nullptr) {
   slowReasonMetrics().Reasons[size_t(Reason)]->add();
@@ -144,24 +144,24 @@ uint8_t initialFlightOutcome(core::TagTableKind Kind) {
   return Kind == core::TagTableKind::LockFree ? 0 : support::kTagOutcomeMutex;
 }
 
-/// Why did the acquire fast path fail? Re-probes without locks; the
-/// observation is racy but statistically faithful — attribution counters
-/// are about distributions, not per-op exactness.
-support::TagSlowReason classifyAcquireSlow(core::TagTable &Table,
+/// Why did the acquire fast path fail? \p S is the slot the fast path
+/// looked at, null when the lookup found none. The observation is racy but
+/// statistically faithful — attribution counters are about distributions,
+/// not per-op exactness.
+support::TagSlowReason classifyAcquireSlow(core::TagTable::Slot *S,
                                            uint64_t Begin) {
-  core::TagTable::Slot *S = Table.probeSlot(Begin);
   if (S == nullptr)
     return support::TagSlowReason::SlotCold;
   if (S->Key.load(std::memory_order_relaxed) != Begin)
     return support::TagSlowReason::SlotRecycled;
   // Matching key: the fast path saw refcount 0. A count resurrected by a
-  // racing acquirer between then and this re-probe still entered the slow
-  // path as a first holder.
+  // racing acquirer since then still entered the slow path as a first
+  // holder.
   return support::TagSlowReason::FirstHolder;
 }
 
 /// Why did the release fast path fail? \p S is the slot the fast path
-/// looked at (hint or probe), null when neither found one.
+/// looked at, null when the lookup found none.
 support::TagSlowReason classifyReleaseSlow(core::TagTable::Slot *S,
                                            uint64_t Begin) {
   if (S == nullptr)
@@ -248,39 +248,40 @@ mte::TagValue TagAllocator::generateAndApplyTag(uint64_t Begin,
   return Tag;
 }
 
-uint64_t TagAllocator::acquire(uint64_t Begin, uint64_t End,
-                               TagTable::Slot **CacheOut) {
+TagTable::Slot *TagAllocator::findSlot(uint64_t Begin) {
+  // The memo is only ever a hint: a hit still goes through the slot's
+  // (epoch, resident, refcount) CAS, which revalidates key and state.
+  mte::ThreadState &TS = mte::ThreadState::current();
+  auto *S =
+      static_cast<TagTable::Slot *>(TS.tagSlotMemoLookup(MemoOwnerId, Begin));
+  if (S != nullptr && S->Key.load(std::memory_order_relaxed) == Begin)
+    return S;
+  S = Table.probeSlot(Begin);
+  if (S != nullptr)
+    TS.tagSlotMemoStore(MemoOwnerId, Begin, S);
+  return S;
+}
+
+uint64_t TagAllocator::acquire(uint64_t Begin, uint64_t End) {
   Begin = mte::addressOf(Begin);
   End = mte::addressOf(End);
   M4J_ASSERT(Begin <= End, "inverted range");
   support::FlightScope Flight(support::FlightKind::TagAcquire,
                               initialFlightOutcome(Kind));
   Stats.Acquires.add();
-  if (CacheOut)
-    *CacheOut = nullptr;
 
   switch (Kind) {
   case TagTableKind::LockFree: {
     // Fast path (Algorithm 1 steps 2-4 when the entry exists and the
     // object's tags are valid — a concurrent holder, or a lingering
-    // deferred release being re-acquired warm): at best one memo hit, one
-    // CAS, one LDG; else one lock-free probe first. The per-thread memo
-    // is only ever a hint — acquireFast revalidates key and state.
-    mte::ThreadState &TS = mte::ThreadState::current();
+    // deferred release being re-acquired warm): one slot lookup, one CAS.
     bool Warm = false;
-    TagTable::Slot *S = static_cast<TagTable::Slot *>(
-        TS.tagSlotMemoLookup(MemoOwnerId, Begin));
+    TagTable::Slot *S = findSlot(Begin);
     if (S == nullptr || !Table.acquireFast(*S, Begin, Warm)) {
-      S = Table.probeSlot(Begin);
-      if (S == nullptr || !Table.acquireFast(*S, Begin, Warm)) {
-        allocMetrics().LfAcquireSlow.add();
-        countSlowReason(classifyAcquireSlow(Table, Begin), &Flight);
-        return acquireLockFreeSlow(Begin, End, CacheOut, Flight);
-      }
-      TS.tagSlotMemoStore(MemoOwnerId, Begin, S);
+      allocMetrics().LfAcquireSlow.add();
+      countSlowReason(classifyAcquireSlow(S, Begin), &Flight);
+      return acquireLockFreeSlow(Begin, End, Flight);
     }
-    if (CacheOut)
-      *CacheOut = S;
     Stats.TagsShared.add();
     FastAcquireMetric.add();
     if (Warm)
@@ -305,7 +306,6 @@ uint64_t TagAllocator::acquire(uint64_t Begin, uint64_t End,
 }
 
 uint64_t TagAllocator::acquireLockFreeSlow(uint64_t Begin, uint64_t End,
-                                           TagTable::Slot **CacheOut,
                                            support::FlightScope &Flight) {
   {
     bool Contended = false;
@@ -321,8 +321,6 @@ uint64_t TagAllocator::acquireLockFreeSlow(uint64_t Begin, uint64_t End,
           // taking the mutex: share its tag.
           bool Warm = false;
           if (Table.acquireFast(*S, Begin, Warm)) {
-            if (CacheOut)
-              *CacheOut = S;
             mte::ThreadState::current().tagSlotMemoStore(MemoOwnerId, Begin,
                                                          S);
             Stats.TagsShared.add();
@@ -353,8 +351,6 @@ uint64_t TagAllocator::acquireLockFreeSlow(uint64_t Begin, uint64_t End,
             TagTable::packState(TagTable::epochOf(St) + 1, 1,
                                 /*Resident=*/true),
             std::memory_order_release);
-        if (CacheOut)
-          *CacheOut = S;
         mte::ThreadState::current().tagSlotMemoStore(MemoOwnerId, Begin, S);
         return mte::withPointerTag(Begin, Tag);
       }
@@ -398,8 +394,7 @@ uint64_t TagAllocator::acquireTwoTier(uint64_t Begin, uint64_t End) {
   return mte::withPointerTag(Begin, Tag);
 }
 
-void TagAllocator::release(uint64_t Begin, uint64_t End,
-                           TagTable::Slot *Hint) {
+void TagAllocator::release(uint64_t Begin, uint64_t End) {
   Begin = mte::addressOf(Begin);
   End = mte::addressOf(End);
   support::FlightScope Flight(support::FlightKind::TagRelease,
@@ -410,16 +405,8 @@ void TagAllocator::release(uint64_t Begin, uint64_t End,
   case TagTableKind::LockFree: {
     // Fast path: not the last holder (plain decrement), or a single
     // holder whose tags may linger (deferred 1->0, resident bit stays) —
-    // either way one CAS, no lock, no tag writes. The hint (from
-    // acquire(), via the JNI pin record) skips even the probe, and the
-    // per-thread memo covers un-nested re-pins that outlive their pin
-    // record; both are revalidated against Begin inside releaseFast.
-    TagTable::Slot *S = Hint;
-    if (S == nullptr)
-      S = static_cast<TagTable::Slot *>(
-          mte::ThreadState::current().tagSlotMemoLookup(MemoOwnerId, Begin));
-    if (S == nullptr)
-      S = Table.probeSlot(Begin);
+    // either way one slot lookup and one CAS, no lock, no tag writes.
+    TagTable::Slot *S = findSlot(Begin);
     bool Deferred = false;
     bool OverBudget = false;
     if (S && Table.releaseFast(*S, Begin, Deferred, &OverBudget)) {
@@ -429,8 +416,6 @@ void TagAllocator::release(uint64_t Begin, uint64_t End,
       return;
     }
     allocMetrics().LfReleaseSlow.add();
-    if (Hint == nullptr)
-      countSlowReason(support::TagSlowReason::PinCacheMiss);
     if (OverBudget)
       countSlowReason(support::TagSlowReason::DeferredReclaim, &Flight);
     else

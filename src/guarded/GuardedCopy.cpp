@@ -120,9 +120,7 @@ uint64_t GuardedCopyPolicy::acquire(const jni::JniBufferInfo &Info,
   B.Allocation = reinterpret_cast<uint8_t *>(Bits) - Options.RedZoneBytes;
   B.PayloadBytes = Info.Bytes;
   B.OriginalData = Info.DataBegin;
-  if (Options.ChecksumPayload)
-    B.Adler32 = adler32(reinterpret_cast<const uint8_t *>(Bits),
-                        Info.Bytes);
+  B.Adler32 = adler32(reinterpret_cast<const uint8_t *>(Bits), Info.Bytes);
   {
     std::lock_guard<support::SpinLock> Guard(Lock);
     Live.emplace(Bits, B);
@@ -215,18 +213,15 @@ void GuardedCopyPolicy::destroyBlock(const jni::JniBufferInfo &Info,
   // ART recomputes the payload checksum at release; with JNI_ABORT a
   // modified buffer earns a CheckJNI warning (the caller asked for the
   // changes to be thrown away).
-  if (Options.ChecksumPayload) {
-    uint32_t Now = adler32(B.Allocation + Options.RedZoneBytes,
-                           B.PayloadBytes);
-    if (Mode == jni::JNI_ABORT && Now != B.Adler32)
-      support::logWarn("CheckJNI",
-                       "buffer for %s was modified but released with "
-                       "JNI_ABORT (changes discarded)",
-                       Interface);
-  }
+  uint32_t Now =
+      adler32(B.Allocation + Options.RedZoneBytes, B.PayloadBytes);
+  if (Mode == jni::JNI_ABORT && Now != B.Adler32)
+    support::logWarn("CheckJNI",
+                     "buffer for %s was modified but released with "
+                     "JNI_ABORT (changes discarded)",
+                     Interface);
 
-  if (CopyBack && Options.CopyBackOnRelease && Mode != jni::JNI_ABORT &&
-      B.OriginalData != 0) {
+  if (CopyBack && Mode != jni::JNI_ABORT && B.OriginalData != 0) {
     std::memcpy(reinterpret_cast<void *>(B.OriginalData),
                 B.Allocation + Options.RedZoneBytes, B.PayloadBytes);
     std::lock_guard<support::SpinLock> Guard(Lock);

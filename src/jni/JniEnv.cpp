@@ -21,8 +21,8 @@ namespace mte4jni::jni {
 namespace {
 
 /// The per-interface traffic Table 1 of the paper prices out: how many
-/// Get/Release pairs and critical sections ran, how badly this env's pin
-/// table ever stacked up, and how many CheckJNI errors were raised.
+/// Get/Release pairs and critical sections ran, the most Gets any env ever
+/// held outstanding at once, and how many CheckJNI errors were raised.
 struct JniMetrics {
   support::Counter &GetCalls = support::Metrics::counter("jni/get_calls");
   support::Counter &ReleaseCalls =
@@ -117,14 +117,10 @@ uint64_t JniEnv::acquireObject(rt::ObjectHeader *Obj, const char *Interface,
   Info.Bytes = Obj->dataBytes();
   Info.Interface = Interface;
   bool Copy = false;
-  void *Cookie = nullptr;
-  uint64_t Bits = Policy.acquirePinned(Info, Copy, Cookie);
-  PinRecord &Pin = Pins[Bits];
-  Pin.Cookie = Cookie;
-  ++Pin.Count;
+  uint64_t Bits = Policy.acquire(Info, Copy);
   JniMetrics &JM = jniMetrics();
   JM.GetCalls.add();
-  JM.PinDepthHwm.updateMax(static_cast<int64_t>(Pins.size()));
+  JM.PinDepthHwm.updateMax(static_cast<int64_t>(++PinDepth));
   if (IsCopy)
     *IsCopy = Copy ? JNI_TRUE : JNI_FALSE;
   return Bits;
@@ -144,23 +140,13 @@ void JniEnv::releaseObject(rt::ObjectHeader *Obj, const char *Interface,
   Info.DataBegin = Obj->dataAddress();
   Info.Bytes = Obj->dataBytes();
   Info.Interface = Interface;
-  // Hand the acquire-time cookie back to the policy. A release through a
-  // different env (or of never-acquired bits) finds no record and passes
-  // null — the policy falls back to its own table lookup: first the
-  // per-thread slot memo (which remembers recently pinned ranges across
-  // un-nested Get/Release pairs, where this per-env map has already
-  // forgotten them), then a fresh probe.
-  void *Cookie = nullptr;
-  auto Pin = Pins.find(Bits);
-  if (Pin != Pins.end()) {
-    Cookie = Pin->second.Cookie;
-    // JNI_COMMIT keeps the buffer pinned: the caller will release again.
-    if (Mode != JNI_COMMIT && --Pin->second.Count == 0)
-      Pins.erase(Pin);
-  }
-  Policy.releasePinned(Info, Bits, Mode, Cookie);
-  if (Mode != JNI_COMMIT)
+  Policy.release(Info, Bits, Mode);
+  // JNI_COMMIT keeps the buffer pinned: the caller will release again.
+  if (Mode != JNI_COMMIT) {
+    if (PinDepth > 0)
+      --PinDepth;
     Obj->unpin();
+  }
 }
 
 // ==== critical interfaces ================================================

@@ -73,26 +73,19 @@ void Runtime::detachCurrentThread() {
   AttachedThread.reset();
 }
 
-namespace {
-/// Allocation and rooting must be one atomic step with respect to the
-/// collector: a freshly allocated object is unmarked, unpinned and not yet
-/// reachable from any handle scope, so a GC cycle landing between
-/// JavaHeap::alloc* and HandleScope::root() sweeps it and hands the caller
-/// a pointer into poisoned memory. Holding a runtime critical section
-/// (mutually exclusive with Runtime::beginPause) closes the window; it
-/// also serialises the root-vector push against snapshotRoots(), which
-/// only runs inside a pause.
-struct ScopedAllocCritical {
-  explicit ScopedAllocCritical(Runtime &RT) : RT(RT) { RT.enterCritical(); }
-  ~ScopedAllocCritical() { RT.exitCritical(); }
-  Runtime &RT;
-};
-} // namespace
+// Allocation and rooting must be one atomic step with respect to the
+// collector: a freshly allocated object is unmarked, unpinned and not yet
+// reachable from any handle scope, so a GC cycle landing between
+// JavaHeap::alloc* and HandleScope::root() sweeps it and hands the caller
+// a pointer into poisoned memory. Holding a runtime critical section
+// (mutually exclusive with Runtime::beginPause) closes the window; it
+// also serialises the root-vector push against snapshotRoots(), which
+// only runs inside a pause.
 
 ObjectHeader *Runtime::newPrimArray(HandleScope &Scope, PrimType Elem,
                                     uint32_t Length) {
   {
-    ScopedAllocCritical Guard(*this);
+    ScopedCritical Guard(*this);
     if (ObjectHeader *Obj = Heap->allocPrimArray(Elem, Length))
       return Scope.root(Obj);
   }
@@ -100,7 +93,7 @@ ObjectHeader *Runtime::newPrimArray(HandleScope &Scope, PrimType Elem,
   // beginPause parks any critical section the caller already holds (the
   // callNative bracket), so collecting from here cannot self-deadlock.
   Gc->collect();
-  ScopedAllocCritical Guard(*this);
+  ScopedCritical Guard(*this);
   ObjectHeader *Obj = Heap->allocPrimArray(Elem, Length);
   if (!Obj)
     return nullptr; // OutOfMemoryError: never root a null allocation
@@ -109,12 +102,12 @@ ObjectHeader *Runtime::newPrimArray(HandleScope &Scope, PrimType Elem,
 
 ObjectHeader *Runtime::newRefArray(HandleScope &Scope, uint32_t Length) {
   {
-    ScopedAllocCritical Guard(*this);
+    ScopedCritical Guard(*this);
     if (ObjectHeader *Obj = Heap->allocRefArray(Length))
       return Scope.root(Obj);
   }
   Gc->collect();
-  ScopedAllocCritical Guard(*this);
+  ScopedCritical Guard(*this);
   ObjectHeader *Obj = Heap->allocRefArray(Length);
   if (!Obj)
     return nullptr; // OutOfMemoryError: never root a null allocation
@@ -123,13 +116,13 @@ ObjectHeader *Runtime::newRefArray(HandleScope &Scope, uint32_t Length) {
 
 ObjectHeader *Runtime::newString(HandleScope &Scope,
                                  std::u16string_view Units) {
-  ScopedAllocCritical Guard(*this);
+  ScopedCritical Guard(*this);
   return Scope.root(rt::newString(*Heap, Units));
 }
 
 ObjectHeader *Runtime::newStringUtf8(HandleScope &Scope,
                                      std::string_view Utf8) {
-  ScopedAllocCritical Guard(*this);
+  ScopedCritical Guard(*this);
   return Scope.root(rt::newStringUtf8(*Heap, Utf8));
 }
 

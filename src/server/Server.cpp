@@ -26,6 +26,15 @@ namespace mte4jni::server {
 
 namespace {
 
+/// Rogue probes read up to this many bytes past the probe array's granule
+/// extent. Kept well inside the guarded-copy red zone and the padding
+/// allocations, so the access is always physically mapped.
+constexpr uint64_t kRogueMaxOverreadBytes = 64;
+
+/// Simulated syscall cadence (epoll_wait between request batches): the
+/// point where latched async MTE faults surface, as on real Linux.
+constexpr uint64_t kRequestsPerSyscall = 64;
+
 /// Global (cross-tenant) server metrics. Tenant namespaces mirror the
 /// first three; `late` and `jni_crossings` only aggregate globally.
 struct ServerMetrics {
@@ -200,7 +209,7 @@ public:
       GM.Requests.add();
       GM.JniCrossings.add();
 
-      if (++Served % Config.SyscallEveryNRequests == 0) {
+      if (++Served % kRequestsPerSyscall == 0) {
         mte::simulatedSyscall("epoll_wait"); // surfaces latched async faults
         DrainFaults();
       }
@@ -288,8 +297,7 @@ private:
                          .cast<const jni::jbyte>();
             int64_t Offset =
                 ProbeExtent +
-                static_cast<int64_t>(Rng.nextBelow(
-                    std::max<uint64_t>(1, Config.RogueMaxOffsetBytes)));
+                static_cast<int64_t>(Rng.nextBelow(kRogueMaxOverreadBytes));
             volatile jni::jbyte V =
                 mte::load<const jni::jbyte>(P + Offset);
             (void)V;

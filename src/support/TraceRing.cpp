@@ -62,8 +62,6 @@ const char *tagSlowReasonName(TagSlowReason Reason) {
     return "shard_lock_wait";
   case TagSlowReason::OverflowSpill:
     return "overflow_spill";
-  case TagSlowReason::PinCacheMiss:
-    return "pin_cache_miss";
   case TagSlowReason::Orphan:
     return "orphan";
   case TagSlowReason::DeferredReclaim:
@@ -220,8 +218,6 @@ const char *flightEventName(FlightKind Kind, uint8_t Arg) {
     case TagSlowReason::OverflowSpill:
       return Acq ? "TagTable.acquire.slow:overflow_spill"
                  : "TagTable.release.slow:overflow_spill";
-    case TagSlowReason::PinCacheMiss:
-      return "TagTable.release.slow:pin_cache_miss";
     case TagSlowReason::Orphan:
       return "TagTable.release.slow:orphan";
     case TagSlowReason::DeferredReclaim:

@@ -7,12 +7,14 @@
 
 #include "mte4jni/api/Session.h"
 #include "mte4jni/mte/Access.h"
+#include "mte4jni/mte/Instructions.h"
 #include "mte4jni/mte/MteSystem.h"
 #include "mte4jni/support/Metrics.h"
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -77,15 +79,15 @@ TEST(Session, SequentialSessionsAreIndependent) {
 TEST(Session, ConfigurationIsPlumbedThrough) {
   api::SessionConfig C;
   C.Protection = Scheme::Mte4JniSync;
-  C.Locks = core::LockScheme::GlobalLock;
-  C.NumHashTables = 8;
+  C.Locks = core::TagTableKind::GlobalLock;
   C.ExcludeAdjacentTags = true;
   C.HeapBytes = 16ull << 20;
   api::Session S(C);
   ASSERT_NE(S.mtePolicy(), nullptr);
-  EXPECT_EQ(S.mtePolicy()->allocator().lockScheme(),
-            core::LockScheme::GlobalLock);
-  EXPECT_EQ(S.mtePolicy()->allocator().table().numTables(), 8u);
+  EXPECT_EQ(S.mtePolicy()->allocator().tableKind(),
+            core::TagTableKind::GlobalLock);
+  // The paper's k = 16 hash tables.
+  EXPECT_EQ(S.mtePolicy()->allocator().table().numTables(), 16u);
   EXPECT_GE(S.runtime().heap().capacity(), 16ull << 20);
 }
 
@@ -243,6 +245,63 @@ TEST(Session, MakeEnvGivesIndependentEnvs) {
   EXPECT_TRUE(Env2->ExceptionCheck());
   EXPECT_FALSE(Main.env().ExceptionCheck());
   Env2->ExceptionClear();
+}
+
+/// Exact Algorithm 2 (no deferred tag-clear), so a release that drops the
+/// last reference clears the tags at once and a stale pointer faults.
+api::SessionConfig exactMteConfig() {
+  api::SessionConfig C;
+  C.Protection = Scheme::Mte4JniSync;
+  C.DeferredTagClear = false;
+  return C;
+}
+
+TEST(Session, NestedPinsOfOneArrayShareTheTagUntilTheLastRelease) {
+  support::Metrics::resetAll();
+  api::Session S(exactMteConfig());
+  api::ScopedAttach Main(S, "main");
+  rt::HandleScope Scope(S.runtime());
+  jni::jintArray A = Main.env().NewIntArray(Scope, 64);
+  rt::callNative(Main.thread(), rt::NativeKind::Regular, "nested", [&] {
+    jni::jboolean IsCopy;
+    auto P1 = Main.env().GetIntArrayElements(A, &IsCopy);
+    auto P2 = Main.env().GetIntArrayElements(A, &IsCopy);
+    EXPECT_EQ(P1.bits(), P2.bits());
+
+    // The allocator's reference count keeps the tag for the inner pin.
+    Main.env().ReleaseIntArrayElements(A, P2, 0);
+    volatile jni::jint V = mte::load(P1 + 63);
+    EXPECT_EQ(S.faults().totalCount(), 0u);
+
+    // The last release clears it: the same read now faults.
+    Main.env().ReleaseIntArrayElements(A, P1, 0);
+    V = mte::load(P1 + 63);
+    (void)V;
+    EXPECT_EQ(S.faults().totalCount(), 1u);
+    return 0;
+  });
+  EXPECT_GE(S.metricsSnapshot().gaugeValue("jni/pin_depth_hwm"), 2);
+}
+
+TEST(Session, ReleaseThroughAnotherThreadsEnvEndsThePin) {
+  api::Session S(exactMteConfig());
+  api::ScopedAttach Main(S, "main");
+  rt::HandleScope Scope(S.runtime());
+  jni::jintArray A = Main.env().NewIntArray(Scope, 64);
+  jni::jboolean IsCopy;
+  auto P = Main.env().GetIntArrayElements(A, &IsCopy);
+  const uint64_t Begin = mte::addressOf(P.bits());
+  const uint64_t Bytes = 64 * sizeof(jni::jint);
+  ASSERT_GT(mte::taggedGranulesIn(Begin, Bytes), 0u);
+
+  std::thread([&] {
+    api::ScopedAttach Other(S, "other");
+    Other.env().ReleaseIntArrayElements(A, P, 0);
+  }).join();
+
+  EXPECT_EQ(S.mtePolicy()->allocator().stats().OrphanReleases.value(), 0u);
+  EXPECT_EQ(mte::taggedGranulesIn(Begin, Bytes), 0u);
+  EXPECT_EQ(S.faults().totalCount(), 0u);
 }
 
 } // namespace

@@ -7,8 +7,8 @@
 //
 // Unit tests for the paper's tag allocation (Algorithm 1) and release
 // (Algorithm 2): reference counting, tag sharing between concurrent
-// holders, tag clearing when the last holder releases, and both lock
-// schemes under contention.
+// holders, tag clearing when the last holder releases, every tag-table
+// kind under contention, and the per-thread slot memo.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,21 +18,24 @@
 #include "mte4jni/mte/Instructions.h"
 #include "mte4jni/mte/MteSystem.h"
 #include "mte4jni/mte/TaggedArena.h"
+#include "mte4jni/mte/ThreadState.h"
+#include "mte4jni/support/Metrics.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 #include <vector>
 
 namespace {
 
 using namespace mte4jni;
-using core::LockScheme;
 using core::TagAllocator;
 using core::TagTable;
 using mte::MteSystem;
 
-class TagAllocatorTest : public ::testing::TestWithParam<LockScheme> {
+class TagAllocatorTest
+    : public ::testing::TestWithParam<core::TagTableKind> {
 protected:
   void SetUp() override {
     MteSystem::instance().reset();
@@ -55,11 +58,11 @@ protected:
 /// Options for the paper's exact Algorithm 2 semantics: the last release
 /// clears granule tags immediately. The tests that assert clear-on-release
 /// behaviour use this; deferred-clear semantics get their own tests below.
-core::TagAllocatorOptions exactOptions(LockScheme Scheme,
+core::TagAllocatorOptions exactOptions(core::TagTableKind Kind,
                                        unsigned NumTables = 16,
                                        bool EraseDeadEntries = false) {
   core::TagAllocatorOptions Options;
-  Options.Locks = Scheme;
+  Options.Locks = Kind;
   Options.NumTables = NumTables;
   Options.EraseDeadEntries = EraseDeadEntries;
   Options.DeferredTagClear = false;
@@ -234,10 +237,10 @@ TEST_P(TagAllocatorTest, ConcurrentDisjointObjects) {
   EXPECT_EQ(Alloc.table().liveEntries(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(LockSchemes, TagAllocatorTest,
+INSTANTIATE_TEST_SUITE_P(TableKinds, TagAllocatorTest,
                          ::testing::Values(core::TagTableKind::LockFree,
-                                           LockScheme::TwoTier,
-                                           LockScheme::GlobalLock),
+                                           core::TagTableKind::TwoTierMutex,
+                                           core::TagTableKind::GlobalLock),
                          [](const auto &Info) {
                            switch (Info.param) {
                            case core::TagTableKind::LockFree:
@@ -470,6 +473,81 @@ TEST_F(DeferredTagClearTest, UseAfterReleaseDetectedOnceReclaimed) {
   ASSERT_TRUE(Alloc.reclaimRange(Begin, Begin + 64));
   mte::store<int32_t>(P, 43);
   EXPECT_EQ(MteSystem::instance().faultLog().totalCount(), 1u);
+}
+
+// ---- Per-thread slot memo ---------------------------------------------------
+
+/// On the lock-free table the memo is the only slot cache. These pin its
+/// three edges: an entry outliving its allocator, a release on a thread
+/// whose memo never saw the range, and more held ranges than entries.
+class TagSlotMemoTest : public DeferredTagClearTest {};
+
+TEST_F(TagSlotMemoTest, DestroyedAllocatorEntriesNeverValidate) {
+  // Both allocators live at the same address, but each has its own owner
+  // id. The first one's memo entry points into a slot array that dies with
+  // it, so reading that entry would be a heap use-after-free (ASan).
+  const core::TagAllocatorOptions Options =
+      exactOptions(core::TagTableKind::LockFree);
+  std::optional<TagAllocator> Alloc;
+  Alloc.emplace(Options);
+  uint64_t Begin = allocRange(64);
+  Alloc->acquire(Begin, Begin + 64);
+  Alloc->release(Begin, Begin + 64);
+
+  Alloc.emplace(Options);
+  uint64_t Bits = Alloc->acquire(Begin, Begin + 64);
+  EXPECT_EQ(Alloc->stats().TagsGenerated.value(), 1u);
+  EXPECT_EQ(Alloc->stats().TagsShared.value(), 0u);
+  EXPECT_EQ(mte::ldgTag(Begin), mte::pointerTagOf(Bits));
+  Alloc->release(Begin, Begin + 64);
+  EXPECT_EQ(mte::ldgTag(Begin), 0);
+}
+
+TEST_F(TagSlotMemoTest, CrossThreadReleaseFindsTheSlotByProbe) {
+  TagAllocator Alloc(exactOptions(core::TagTableKind::LockFree));
+  uint64_t Begin = allocRange(64);
+  uint64_t Bits = Alloc.acquire(Begin, Begin + 64);
+  ASSERT_EQ(mte::ldgTag(Begin), mte::pointerTagOf(Bits));
+
+  support::MetricsSnapshot Before = support::Metrics::snapshot();
+  std::thread([&] { Alloc.release(Begin, Begin + 64); }).join();
+  support::MetricsSnapshot After = support::Metrics::snapshot();
+  auto Delta = [&](const char *Name) {
+    return After.counterValue(Name) - Before.counterValue(Name);
+  };
+  // The releasing thread's memo never saw this range, so the probe found
+  // the slot: the slow path is the exact last holder, not a cold miss.
+  EXPECT_EQ(Delta("core/tagtable/slow_reason/slot_cold"), 0u);
+  EXPECT_EQ(Delta("core/tagtable/slow_reason/last_holder"), 1u);
+  EXPECT_EQ(Alloc.stats().OrphanReleases.value(), 0u);
+  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 1u);
+  EXPECT_EQ(mte::ldgTag(Begin), 0);
+  EXPECT_EQ(Alloc.table().liveEntries(), 0u);
+}
+
+TEST_F(TagSlotMemoTest, MoreHeldRangesThanMemoEntries) {
+  TagAllocator Alloc(exactOptions(core::TagTableKind::LockFree));
+  constexpr unsigned kRanges = mte::ThreadState::kTagSlotMemoSize + 8;
+  std::vector<uint64_t> Begins;
+  for (unsigned I = 0; I < kRanges; ++I)
+    Begins.push_back(allocRange(64));
+  // Two holders each: the second acquire and the first release take the
+  // fast path, which must find the slot even where another range evicted
+  // its memo entry.
+  for (int Round = 0; Round < 2; ++Round)
+    for (uint64_t Begin : Begins)
+      Alloc.acquire(Begin, Begin + 64);
+  EXPECT_EQ(Alloc.stats().TagsGenerated.value(), kRanges);
+  EXPECT_EQ(Alloc.stats().TagsShared.value(), kRanges);
+  for (int Round = 0; Round < 2; ++Round)
+    for (uint64_t Begin : Begins)
+      Alloc.release(Begin, Begin + 64);
+
+  EXPECT_EQ(Alloc.stats().OrphanReleases.value(), 0u);
+  EXPECT_EQ(Alloc.stats().TagsCleared.value(), kRanges);
+  EXPECT_EQ(Alloc.table().liveEntries(), 0u);
+  for (uint64_t Begin : Begins)
+    EXPECT_EQ(mte::ldgTag(Begin), 0);
 }
 
 } // namespace

@@ -16,8 +16,8 @@
 namespace {
 
 using namespace mte4jni;
-using core::Mte4JniOptions;
 using core::Mte4JniPolicy;
+using core::TagAllocatorOptions;
 
 class CorePolicyTest : public ::testing::Test {
 protected:
@@ -44,8 +44,8 @@ protected:
 /// Options pinning the paper's exact Algorithm 2 semantics (last release
 /// clears tags immediately); the deferred-clear default gets its own
 /// coverage in core_allocator_test and integration_gc_test.
-static Mte4JniOptions exactClearOptions() {
-  Mte4JniOptions Options;
+static TagAllocatorOptions exactClearOptions() {
+  TagAllocatorOptions Options;
   Options.DeferredTagClear = false;
   return Options;
 }
@@ -98,9 +98,7 @@ TEST_F(CorePolicyTest, ScratchBuffersAreTagged) {
 }
 
 TEST_F(CorePolicyTest, ScratchExhaustionReturnsZero) {
-  Mte4JniOptions Options;
-  Options.ScratchArenaBytes = 64;
-  Mte4JniPolicy Policy(Options);
+  Mte4JniPolicy Policy({}, /*ScratchArenaBytes=*/64);
   EXPECT_EQ(Policy.acquireScratch(1 << 20, "GetStringUTFChars"), 0u);
 }
 
@@ -120,11 +118,11 @@ TEST_F(CorePolicyTest, ConcurrentHoldersShareTag) {
 }
 
 TEST_F(CorePolicyTest, OptionsArePlumbedThrough) {
-  Mte4JniOptions Options;
-  Options.Locks = core::LockScheme::GlobalLock;
-  Options.NumHashTables = 4;
+  TagAllocatorOptions Options;
+  Options.Locks = core::TagTableKind::GlobalLock;
+  Options.NumTables = 4;
   Mte4JniPolicy Policy(Options);
-  EXPECT_EQ(Policy.allocator().lockScheme(), core::LockScheme::GlobalLock);
+  EXPECT_EQ(Policy.allocator().tableKind(), core::TagTableKind::GlobalLock);
   EXPECT_EQ(Policy.allocator().table().numTables(), 4u);
   EXPECT_TRUE(Policy.exposesDirectPointers());
   EXPECT_STREQ(Policy.name(), "mte4jni");

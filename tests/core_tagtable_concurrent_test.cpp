@@ -229,6 +229,8 @@ TEST_F(TagTableConcurrentTest, DeepNestingSharesOneTag) {
 TEST_F(TagTableConcurrentTest, SlotPrimitives) {
   TagTable Table(4, TagTableKind::LockFree, 64);
   uint64_t Begin = 0x4000;
+  bool Warm = false;
+  bool Deferred = false;
 
   // Absent: probe misses, fast paths refuse.
   EXPECT_EQ(Table.probeSlot(Begin), nullptr);
@@ -240,19 +242,22 @@ TEST_F(TagTableConcurrentTest, SlotPrimitives) {
     ASSERT_NE(S, nullptr);
     // Fresh slot: count 0 — the fast acquire path must refuse (the tag
     // work has not happened).
-    EXPECT_FALSE(TagTable::tryAcquireShared(*S, Begin));
+    EXPECT_FALSE(Table.acquireFast(*S, Begin, Warm));
     S->State.store(TagTable::packState(1, 1), std::memory_order_release);
   }
 
   TagTable::Slot *S = Table.probeSlot(Begin);
   ASSERT_NE(S, nullptr);
-  EXPECT_TRUE(TagTable::tryAcquireShared(*S, Begin)); // 1 -> 2
-  EXPECT_TRUE(TagTable::tryReleaseShared(*S, Begin)); // 2 -> 1
-  // Count 1: releasing to zero must go to the slow path.
-  EXPECT_FALSE(TagTable::tryReleaseShared(*S, Begin));
+  EXPECT_TRUE(Table.acquireFast(*S, Begin, Warm)); // 1 -> 2
+  EXPECT_FALSE(Warm);
+  EXPECT_TRUE(Table.releaseFast(*S, Begin, Deferred)); // 2 -> 1
+  EXPECT_FALSE(Deferred);
+  // Count 1 with no resident budget: releasing to zero must go to the
+  // slow path.
+  EXPECT_FALSE(Table.releaseFast(*S, Begin, Deferred));
   // Wrong key: both fast paths refuse.
-  EXPECT_FALSE(TagTable::tryAcquireShared(*S, Begin + 16));
-  EXPECT_FALSE(TagTable::tryReleaseShared(*S, Begin + 16));
+  EXPECT_FALSE(Table.acquireFast(*S, Begin + 16, Warm));
+  EXPECT_FALSE(Table.releaseFast(*S, Begin + 16, Deferred));
 
   // Last release + tombstone, then reuse for another key.
   {
@@ -347,7 +352,8 @@ TEST_F(TagTableConcurrentTest, SlotRecycleAbaUnderDeferredClear) {
   }
   EXPECT_FALSE(StalledCasSucceeds());
   // And the full fast path agrees: the key is B's now.
-  EXPECT_FALSE(TagTable::tryAcquireShared(*SlotA, KeyA));
+  bool Warm = false;
+  EXPECT_FALSE(Table.acquireFast(*SlotA, KeyA, Warm));
 
   // Stage 3 — B releases (deferred) so the refcount is 0 and the resident
   // bit is set again: the *shape* of the stalled state recurs, but the

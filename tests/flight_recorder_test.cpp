@@ -303,9 +303,6 @@ TEST_F(FlightTest, SlowReasonCountersExplainLockFreeSlowPath) {
     EXPECT_GE(Delta("core/tagtable/slow_reason/slot_cold"), 1u);
     EXPECT_GE(Delta("core/tagtable/slow_reason/first_holder"), 99u);
     EXPECT_GE(Delta("core/tagtable/slow_reason/last_holder"), 100u);
-    // Direct release calls carry no pin-cache hint, so the secondary
-    // pin_cache_miss signal fires alongside each primary reason.
-    EXPECT_GE(Delta("core/tagtable/slow_reason/pin_cache_miss"), 100u);
     EXPECT_EQ(Delta("core/tagtable/slow_reason/orphan"), 0u);
   }
 

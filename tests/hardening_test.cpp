@@ -68,7 +68,7 @@ TEST_F(HardeningTest, AdjacentObjectsNeverShareTags) {
 TEST_F(HardeningTest, BaselineCanCollide) {
   // Sanity check of the probabilistic gap this hardening closes: with
   // plain Algorithm 1, adjacent tags DO collide eventually.
-  core::TagAllocator Alloc(core::LockScheme::TwoTier);
+  core::TagAllocator Alloc(core::TagTableKind::TwoTierMutex);
   uint8_t *Base = static_cast<uint8_t *>(Arena->allocate(512 * 32));
   bool Collision = false;
   mte::TagValue Prev = 0;

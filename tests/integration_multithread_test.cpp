@@ -25,10 +25,11 @@
 namespace {
 
 using namespace mte4jni;
+using core::TagTableKind;
 
 struct MtParams {
   api::Scheme Protection;
-  core::LockScheme Locks;
+  TagTableKind Locks;
 };
 
 class MultithreadTest : public ::testing::TestWithParam<MtParams> {};
@@ -178,8 +179,8 @@ TEST_P(MultithreadTest, OneBadThreadAmongGoodOnes) {
 std::string mtParamName(
     const ::testing::TestParamInfo<MtParams> &Info) {
   std::string Name = api::schemeName(Info.param.Protection);
-  Name += Info.param.Locks == core::LockScheme::TwoTier ? "_twotier"
-                                                        : "_global";
+  Name += Info.param.Locks == TagTableKind::TwoTierMutex ? "_twotier"
+                                                         : "_global";
   for (char &C : Name)
     if (!isalnum(static_cast<unsigned char>(C)))
       C = '_';
@@ -189,12 +190,12 @@ std::string mtParamName(
 INSTANTIATE_TEST_SUITE_P(
     SchemesAndLocks, MultithreadTest,
     ::testing::Values(
-        MtParams{api::Scheme::NoProtection, core::LockScheme::TwoTier},
-        MtParams{api::Scheme::GuardedCopy, core::LockScheme::TwoTier},
-        MtParams{api::Scheme::Mte4JniSync, core::LockScheme::TwoTier},
-        MtParams{api::Scheme::Mte4JniSync, core::LockScheme::GlobalLock},
-        MtParams{api::Scheme::Mte4JniAsync, core::LockScheme::TwoTier},
-        MtParams{api::Scheme::Mte4JniAsync, core::LockScheme::GlobalLock}),
+        MtParams{api::Scheme::NoProtection, TagTableKind::TwoTierMutex},
+        MtParams{api::Scheme::GuardedCopy, TagTableKind::TwoTierMutex},
+        MtParams{api::Scheme::Mte4JniSync, TagTableKind::TwoTierMutex},
+        MtParams{api::Scheme::Mte4JniSync, TagTableKind::GlobalLock},
+        MtParams{api::Scheme::Mte4JniAsync, TagTableKind::TwoTierMutex},
+        MtParams{api::Scheme::Mte4JniAsync, TagTableKind::GlobalLock}),
     mtParamName);
 
 } // namespace

@@ -149,7 +149,7 @@ TEST_P(AllocatorFuzz, InterleavingsPreserveInvariants) {
   mte::MteSystem::instance().reset();
   {
     mte::TaggedArena Arena(1 << 20);
-    core::TagAllocator Alloc(core::LockScheme::TwoTier, 16);
+    core::TagAllocator Alloc(core::TagTableKind::TwoTierMutex, 16);
     support::Xoshiro256 Rng(GetParam());
 
     constexpr int kObjects = 24;
