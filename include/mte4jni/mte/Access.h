@@ -10,8 +10,11 @@
 /// checks enabled compares the pointer's logical tag against the granule's
 /// allocation tag. Simulated native code performs its Java-heap accesses
 /// through mte::load / mte::store (or CheckedSpan), which reproduce that
-/// check. The fast path — checks disabled — is a thread-local flag test, so
-/// the "no protection" baseline measured by the benchmarks is honest.
+/// check. The fast path — checks disabled — is a TLS pointer load and a
+/// flag test, so the "no protection" baseline measured by the benchmarks
+/// is honest. A checked access that hits the thread's region cache touches
+/// only the thread's own state, the publish epoch and the tag shadow: its
+/// counts go to ThreadState cells, not to the metrics registry.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +24,6 @@
 #include "mte4jni/mte/TagStorage.h"
 #include "mte4jni/mte/TaggedPtr.h"
 #include "mte4jni/mte/ThreadState.h"
-#include "mte4jni/support/Metrics.h"
 
 #include <cstring>
 #include <type_traits>
@@ -40,7 +42,8 @@ void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
 /// and every touched granule's tag matches. Returns false (deferring to
 /// checkAccessSlow) on cache miss, straddle out of the cached region, or
 /// tag mismatch. The epoch load is the only shared-state read — no
-/// MteSystem::instance() magic-static guard, no region-list walk.
+/// MteSystem::instance() magic-static guard, no region-list walk, no
+/// registry counter.
 M4J_ALWAYS_INLINE bool checkAccessFast(ThreadState &TS, uint64_t Bits,
                                        uint32_t Size, bool IsWrite) {
   const TaggedRegion *Region = TS.cachedRegion();
@@ -63,19 +66,8 @@ M4J_ALWAYS_INLINE bool checkAccessFast(ThreadState &TS, uint64_t Bits,
     if (Granule >= Last)
       break;
   }
-  uint64_t Granules = ((Last - First) >> kGranuleShift) + 1;
-  TS.noteChecks(Granules);
-  static support::Counter &CacheHits =
-      support::Metrics::counter("mte/access/region_cache_hit");
-  static support::Counter &CheckedLoads =
-      support::Metrics::counter("mte/access/checked_loads");
-  static support::Counter &CheckedStores =
-      support::Metrics::counter("mte/access/checked_stores");
-  static support::Counter &CheckedGranules =
-      support::Metrics::counter("mte/access/checked_granules");
-  CacheHits.add();
-  (IsWrite ? CheckedStores : CheckedLoads).add();
-  CheckedGranules.add(Granules);
+  TS.countAccess(IsWrite, ((Last - First) >> kGranuleShift) + 1);
+  TS.countRegionCacheHit();
   return true;
 }
 
@@ -91,18 +83,24 @@ M4J_ALWAYS_INLINE void maybeCheck(uint64_t Bits, uint32_t Size,
 } // namespace detail
 
 /// Tag-checked load of a T through a tagged pointer. (T may be
-/// const-qualified; the value type returned is the unqualified T.)
+/// const-qualified; the value type returned is the unqualified T.) The
+/// address need not be aligned for T, as native code's need not be on
+/// AArch64; the bytes move through memcpy, which compiles to one move.
 template <typename T>
 M4J_ALWAYS_INLINE std::remove_const_t<T> load(TaggedPtr<T> Ptr) {
+  static_assert(std::is_trivially_copyable_v<T>);
   detail::maybeCheck(Ptr.bits(), sizeof(T), /*IsWrite=*/false);
-  return *Ptr.raw();
+  std::remove_const_t<T> Value;
+  std::memcpy(&Value, Ptr.raw(), sizeof(T));
+  return Value;
 }
 
-/// Tag-checked store of a T through a tagged pointer.
+/// Tag-checked store of a T through a tagged pointer (alignment as load).
 template <typename T>
 M4J_ALWAYS_INLINE void store(TaggedPtr<T> Ptr, T Value) {
+  static_assert(std::is_trivially_copyable_v<T>);
   detail::maybeCheck(Ptr.bits(), sizeof(T), /*IsWrite=*/true);
-  *Ptr.raw() = Value;
+  std::memcpy(Ptr.raw(), &Value, sizeof(T));
 }
 
 /// Tag-checked bulk copy. Checks once per touched granule (hardware checks

@@ -22,8 +22,10 @@
 
 #include "mte4jni/mte/Fault.h"
 #include "mte4jni/mte/TagStorage.h"
+#include "mte4jni/mte/ThreadState.h"
 #include "mte4jni/support/SpinLock.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -31,7 +33,6 @@
 
 namespace mte4jni::mte {
 
-class ThreadState;
 class MteSystem;
 
 /// Counters over simulated MTE instructions; cold-path only (tagging and
@@ -150,7 +151,17 @@ public:
 
   // -- thread registry (used by ThreadState) -------------------------------
   void registerThread(ThreadState *State);
+  /// Also folds the thread's access counts into the exited-thread totals.
   void unregisterThread(ThreadState *State);
+
+  /// \p Which summed over live and exited threads, since the last
+  /// Metrics::resetAll(): the value of the mte/access/* derived counter of
+  /// that name.
+  uint64_t accessCount(AccessCount Which);
+  /// Metrics::resetAll() hook: makes accessCount(Which) read 0 from now
+  /// on by recording the current sum as the baseline it subtracts. The
+  /// threads' own cells are never written from here: each has one writer.
+  void rebaseAccessCount(AccessCount Which);
 
   /// Deterministic seed base for per-thread IRG RNGs.
   void setRngSeed(uint64_t Seed) {
@@ -163,6 +174,9 @@ private:
   friend class RegionPin;
 
   void publishRegions(std::vector<std::shared_ptr<TaggedRegion>> NewRegions);
+
+  /// Live plus exited threads' total of \p Which. Caller holds ThreadLock.
+  uint64_t accessCountSumLocked(AccessCount Which) const;
 
   /// Frees retired snapshots no pinned reader can still hold. Caller holds
   /// RegionLock; takes ThreadLock (that nesting order is load-bearing).
@@ -192,6 +206,10 @@ private:
 
   std::vector<ThreadState *> Threads;
   support::SpinLock ThreadLock;
+  // Access-count totals of exited threads, and the sums resetAll last
+  // rebased to; both guarded by ThreadLock.
+  std::array<uint64_t, kNumAccessCounts> ExitedAccessCounts = {};
+  std::array<uint64_t, kNumAccessCounts> AccessCountBaseline = {};
 
   std::atomic<uint64_t> RngSeed{0x4d54453434a4e49ULL}; // "MTE4JNI"-ish
   std::atomic<uint64_t> ThreadSeedCounter{0};

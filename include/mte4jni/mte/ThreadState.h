@@ -18,6 +18,9 @@
 ///     prctl(PR_SET_TAGGED_ADDR_CTRL).
 ///   * TFSR — the async-fault latch drained at simulated syscalls.
 ///
+/// It also carries the thread's checked-access counts, which MteSystem
+/// sums into the mte/access/* derived counters.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MTE4JNI_MTE_THREADSTATE_H
@@ -35,12 +38,36 @@ namespace mte4jni::mte {
 
 class MteSystem;
 class TaggedRegion;
+class ThreadState;
+
+namespace detail {
+/// The calling thread's ThreadState once created, else null. constinit on
+/// the declaration too, so every read is a plain TLS load with no
+/// dynamic-initialization guard call.
+extern thread_local constinit ThreadState *CurrentThreadState;
+} // namespace detail
+
+/// Per-thread checked-access counts; each is a cell of ThreadState that
+/// only its own thread writes.
+enum class AccessCount : unsigned {
+  CheckedLoads,
+  CheckedStores,
+  CheckedGranules,
+  RegionCacheHits,
+  kNumCounts
+};
+inline constexpr unsigned kNumAccessCounts = unsigned(AccessCount::kNumCounts);
 
 class ThreadState {
 public:
   /// The calling thread's state; lazily created and registered with the
-  /// MteSystem on first use.
-  static ThreadState &current();
+  /// MteSystem on first use. After that, one TLS load.
+  M4J_ALWAYS_INLINE static ThreadState &current() {
+    ThreadState *State = detail::CurrentThreadState;
+    if (M4J_LIKELY(State != nullptr))
+      return *State;
+    return createCurrent();
+  }
 
   // -- TCO ------------------------------------------------------------
   /// TCO=1 suppresses tag checks (the hardware meaning).
@@ -73,23 +100,25 @@ public:
   /// this thread). No-op when nothing is latched.
   void drainAsync(const char *SyscallName);
 
-  // -- statistics (thread-local, unsynchronised) -------------------------
-  uint64_t checksPerformed() const { return NumChecks; }
-  uint64_t mismatches() const { return NumMismatches; }
-  void resetCounters() {
-    NumChecks = 0;
-    NumMismatches = 0;
+  // -- checked-access counts ----------------------------------------------
+  /// Counts one checked access that covered \p Granules in-region granules.
+  M4J_ALWAYS_INLINE void countAccess(bool IsWrite, uint64_t Granules) {
+    bump(IsWrite ? AccessCount::CheckedStores : AccessCount::CheckedLoads, 1);
+    bump(AccessCount::CheckedGranules, Granules);
+  }
+  /// Counts one check served from the region cache.
+  M4J_ALWAYS_INLINE void countRegionCacheHit() {
+    bump(AccessCount::RegionCacheHits, 1);
+  }
+  /// Granules this thread has tag-checked.
+  uint64_t checksPerformed() const {
+    return accessCount(AccessCount::CheckedGranules);
   }
 
   /// Per-thread RNG used by the IRG instruction.
   support::Xoshiro256 &irgRng() { return IrgRng; }
 
   uint64_t threadId() const { return Id; }
-
-  // Internal: used by the checked-access slow path.
-  void noteCheck() { ++NumChecks; }
-  void noteChecks(uint64_t N) { NumChecks += N; }
-  void noteMismatch() { ++NumMismatches; }
 
   /// Re-reads the process default check mode (called when the process mode
   /// changes while the thread already exists).
@@ -142,6 +171,21 @@ private:
   ~ThreadState();
   friend class MteSystem;
 
+  /// Constructs the calling thread's state on its first current().
+  static M4J_NOINLINE ThreadState &createCurrent();
+
+  /// Safe from any thread (relaxed read of a single-writer cell).
+  uint64_t accessCount(AccessCount Which) const {
+    return Counts[unsigned(Which)].load(std::memory_order_relaxed);
+  }
+  /// Single writer, so a relaxed load+store instead of an atomic RMW; the
+  /// atomics keep concurrent snapshot reads race-free.
+  M4J_ALWAYS_INLINE void bump(AccessCount Which, uint64_t N) {
+    std::atomic<uint64_t> &Cell = Counts[unsigned(Which)];
+    Cell.store(Cell.load(std::memory_order_relaxed) + N,
+               std::memory_order_relaxed);
+  }
+
   void refreshChecksOn() {
     ChecksOn.store(Mode != CheckMode::None && !Tco,
                    std::memory_order_relaxed);
@@ -160,12 +204,10 @@ private:
   bool PendingIsWrite = false;
   uint32_t PendingSize = 0;
 
-  uint64_t NumChecks = 0;
-  uint64_t NumMismatches = 0;
-
   const TaggedRegion *CachedRegion = nullptr;
   std::shared_ptr<const TaggedRegion> CachedRegionRef;
   uint64_t CachedRegionEpoch = 0;
+  std::atomic<uint64_t> Counts[kNumAccessCounts] = {};
   std::atomic<uint64_t> ActiveRegionEpoch{0};
 
   struct TagSlotMemoEntry {

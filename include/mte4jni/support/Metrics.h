@@ -30,6 +30,10 @@
 ///     lock (heap occupancy) or are cold (high-water marks).
 ///   * Histogram::record is a log2 bucket pick plus three relaxed adds on
 ///     the thread's shard — used for GC phase durations, not per-access.
+///   * Per-access paths add to no registry cell at all: the tag check
+///     counts loads, stores, granules and region-cache hits in its own
+///     mte::ThreadState, and the mte/access/* names that report them are
+///     derived counters summed at snapshot time (registerDerived).
 ///   * Registration (name lookup) takes a mutex, but instrumented call
 ///     sites do it once via a function-local static reference:
 ///
@@ -76,9 +80,10 @@ namespace detail {
 /// returns the claim. Returns the shard index.
 unsigned assignMetricShardSlow();
 
-/// Cached shard + 1 (0 = unassigned). constinit so every access is a plain
-/// TLS load — no per-access dynamic-initialization guard.
-extern thread_local unsigned MetricShardCache;
+/// Cached shard + 1 (0 = unassigned). constinit on this declaration too,
+/// so every access from any translation unit is a plain TLS load — no
+/// per-access dynamic-initialization guard.
+extern thread_local constinit unsigned MetricShardCache;
 
 M4J_ALWAYS_INLINE unsigned metricShard() {
   unsigned S = MetricShardCache;
@@ -312,6 +317,10 @@ struct MetricsSnapshot {
 /// time, typically summing other counters or mirroring existing stats).
 using DerivedCounterFn = uint64_t (*)();
 
+/// A derived counter's reset callback, for sources resetAll() cannot zero
+/// itself; it typically records a baseline the read callback subtracts.
+using DerivedResetFn = void (*)();
+
 /// The process-wide registry façade.
 class Metrics {
 public:
@@ -327,15 +336,18 @@ public:
   /// \p Fn at snapshot time — for aggregates over per-path counters
   /// ("acquires" = fast + slow + ...) and mirrors of stats the code
   /// already maintains (the MTE instruction counts). Re-registering a
-  /// name replaces the callback (idempotent registration).
-  static void registerDerived(const char *Name, DerivedCounterFn Fn);
+  /// name replaces the callbacks (idempotent registration). resetAll()
+  /// calls \p Reset, when given, outside the registry lock.
+  static void registerDerived(const char *Name, DerivedCounterFn Fn,
+                              DerivedResetFn Reset = nullptr);
 
   static FaultRing &faultRing();
 
   static MetricsSnapshot snapshot();
 
-  /// Zeroes every registered metric and clears the fault ring. For tests
-  /// and benchmark phase boundaries; registration is never undone.
+  /// Zeroes every registered metric (derived ones through their reset
+  /// callback) and clears the fault ring. For tests and benchmark phase
+  /// boundaries; registration is never undone.
   static void resetAll();
 };
 

@@ -132,9 +132,10 @@ namespace obs {
 /// only on hot paths.
 extern std::atomic<uint8_t> LevelFlag;
 
-/// Per-thread LCG state for sampleTick(). constinit zero: plain TLS load,
-/// no dynamic-init guard; the LCG walks the full 2^32 period from any seed.
-extern thread_local uint32_t SampleLcg;
+/// Per-thread LCG state for sampleTick(). constinit zero, on this
+/// declaration too: plain TLS load, no dynamic-init guard; the LCG walks
+/// the full 2^32 period from any seed.
+extern thread_local constinit uint32_t SampleLcg;
 
 /// Sets the runtime level, clamped to the compile-time M4J_OBS_LEVEL.
 void setLevel(unsigned Level);

@@ -20,18 +20,12 @@ namespace detail {
 
 namespace {
 
-/// Per-path metrics behind the paper's Figure 5/8 breakdowns: how many
-/// accesses actually reached the tag check, how many granules those
-/// checks covered, how mismatches split across TCF modes, and how the
-/// per-thread region cache performed (hits are counted in the inlined
-/// fast path, Access.h).
+/// Cold-path metrics behind the paper's Figure 5/8 breakdowns: how
+/// mismatches split across TCF modes and why the per-thread region cache
+/// missed. Checked loads, stores, granules and cache hits are counted in
+/// the caller's ThreadState instead (MteSystem derives the
+/// mte/access/{checked_*,region_cache_hit} counters from those cells).
 struct AccessMetrics {
-  support::Counter &CheckedLoads =
-      support::Metrics::counter("mte/access/checked_loads");
-  support::Counter &CheckedStores =
-      support::Metrics::counter("mte/access/checked_stores");
-  support::Counter &CheckedGranules =
-      support::Metrics::counter("mte/access/checked_granules");
   support::Counter &MismatchSync =
       support::Metrics::counter("mte/access/mismatch_sync");
   support::Counter &MismatchAsync =
@@ -87,7 +81,6 @@ M4J_NOINLINE void reportMismatch(ThreadState &TS, uint64_t Address,
     return;
   }
   accessMetrics().MismatchSync.add();
-  TS.noteMismatch();
   System.stats().SyncFaults.fetch_add(1, std::memory_order_relaxed);
   FaultRecord Record;
   Record.Kind = FaultKind::TagMismatchSync;
@@ -134,10 +127,7 @@ void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
       Hit = Region;
       ++Checked;
       if (M4J_UNLIKELY(Region->tagAt(Granule) != PointerTag)) {
-        TS.noteChecks(Checked);
-        AccessMetrics &AM = accessMetrics();
-        (IsWrite ? AM.CheckedStores : AM.CheckedLoads).add();
-        AM.CheckedGranules.add(Checked);
+        TS.countAccess(IsWrite, Checked);
         reportMismatch(TS, Address, PointerTag, Region->tagAt(Granule), Size,
                        IsWrite);
         return;
@@ -149,10 +139,7 @@ void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
   if (Checked == 0)
     return; // not PROT_MTE memory: unchecked, like hardware
 
-  TS.noteChecks(Checked);
-  AccessMetrics &AM = accessMetrics();
-  (IsWrite ? AM.CheckedStores : AM.CheckedLoads).add();
-  AM.CheckedGranules.add(Checked);
+  TS.countAccess(IsWrite, Checked);
 
   // Refill the last-hit cache when the whole access sits in one region —
   // the overwhelmingly common case the inlined fast path serves next time.
@@ -179,8 +166,7 @@ M4J_NOINLINE void checkRangeSlow(ThreadState &TS, uint64_t Bits,
   TagValue PointerTag = pointerTagOf(Bits);
 
   RegionPin Pin(System);
-  detail::AccessMetrics &AM = detail::accessMetrics();
-  AM.RegionCacheMiss.add();
+  detail::accessMetrics().RegionCacheMiss.add();
   detail::countRegionCacheMissReason(TS, Address, Bytes);
 
   uint64_t Granules = 0;
@@ -198,9 +184,7 @@ M4J_NOINLINE void checkRangeSlow(ThreadState &TS, uint64_t Bits,
     Granules += LastIdx - FirstIdx + 1;
     uint64_t Bad = Region.findMismatch(FirstIdx, LastIdx, PointerTag);
     if (M4J_UNLIKELY(Bad != UINT64_MAX)) {
-      TS.noteChecks(Granules);
-      (IsWrite ? AM.CheckedStores : AM.CheckedLoads).add();
-      AM.CheckedGranules.add(Granules);
+      TS.countAccess(IsWrite, Granules);
       uint64_t BadAddr = Region.begin() + (Bad << kGranuleShift);
       uint64_t FaultAddr = std::max(Address, BadAddr);
       detail::reportMismatch(
@@ -215,9 +199,7 @@ M4J_NOINLINE void checkRangeSlow(ThreadState &TS, uint64_t Bits,
   if (Granules == 0)
     return; // not PROT_MTE memory
 
-  TS.noteChecks(Granules);
-  (IsWrite ? AM.CheckedStores : AM.CheckedLoads).add();
-  AM.CheckedGranules.add(Granules);
+  TS.countAccess(IsWrite, Granules);
   if (Lat.armed()) {
     Lat.setArg(static_cast<uint8_t>(detail::checkKernelFor(Granules)));
     Lat.setArg2(static_cast<uint32_t>(
@@ -264,13 +246,8 @@ M4J_ALWAYS_INLINE void checkRange(uint64_t Bits, uint64_t Bytes,
     }
     uint64_t Bad = Cached->findMismatch(FirstIdx, LastIdx, PointerTag);
     if (M4J_LIKELY(Bad == UINT64_MAX)) {
-      TS.noteChecks(Granules);
-      detail::AccessMetrics &AM = detail::accessMetrics();
-      static support::Counter &CacheHits =
-          support::Metrics::counter("mte/access/region_cache_hit");
-      CacheHits.add();
-      (IsWrite ? AM.CheckedStores : AM.CheckedLoads).add();
-      AM.CheckedGranules.add(Granules);
+      TS.countAccess(IsWrite, Granules);
+      TS.countRegionCacheHit();
       return;
     }
     // Mismatch: fall through for uniform counting and reporting.

@@ -7,7 +7,6 @@
 
 #include "mte4jni/mte/MteSystem.h"
 
-#include "mte4jni/mte/ThreadState.h"
 #include "mte4jni/support/Logging.h"
 #include "mte4jni/support/Metrics.h"
 #include "mte4jni/support/Syscall.h"
@@ -27,6 +26,15 @@ void drainAsyncAtSyscall(void *Context, const char *SyscallName) {
     TS.drainAsync(SyscallName);
 }
 
+/// Exposes one per-thread access count as a registry counter: read by
+/// summing the threads' cells at snapshot time, zeroed by resetAll through
+/// a baseline, so the checked-access paths never touch a registry cell.
+template <AccessCount Which> void registerAccessCounter(const char *Name) {
+  support::Metrics::registerDerived(
+      Name, +[] { return MteSystem::instance().accessCount(Which); },
+      +[] { MteSystem::instance().rebaseAccessCount(Which); });
+}
+
 } // namespace
 
 MteSystem &MteSystem::instance() {
@@ -37,6 +45,13 @@ MteSystem &MteSystem::instance() {
 MteSystem::MteSystem() {
   publishRegions({});
   support::addSyscallObserver(drainAsyncAtSyscall, this);
+  registerAccessCounter<AccessCount::CheckedLoads>("mte/access/checked_loads");
+  registerAccessCounter<AccessCount::CheckedStores>(
+      "mte/access/checked_stores");
+  registerAccessCounter<AccessCount::CheckedGranules>(
+      "mte/access/checked_granules");
+  registerAccessCounter<AccessCount::RegionCacheHits>(
+      "mte/access/region_cache_hit");
 }
 
 RegionPin::RegionPin(const MteSystem &System) {
@@ -224,8 +239,28 @@ void MteSystem::registerThread(ThreadState *State) {
 void MteSystem::unregisterThread(ThreadState *State) {
   std::lock_guard<support::SpinLock> Guard(ThreadLock);
   auto It = std::find(Threads.begin(), Threads.end(), State);
-  if (It != Threads.end())
-    Threads.erase(It);
+  if (It == Threads.end())
+    return;
+  for (unsigned I = 0; I < kNumAccessCounts; ++I)
+    ExitedAccessCounts[I] += State->accessCount(AccessCount(I));
+  Threads.erase(It);
+}
+
+uint64_t MteSystem::accessCountSumLocked(AccessCount Which) const {
+  uint64_t Sum = ExitedAccessCounts[unsigned(Which)];
+  for (const ThreadState *TS : Threads)
+    Sum += TS->accessCount(Which);
+  return Sum;
+}
+
+uint64_t MteSystem::accessCount(AccessCount Which) {
+  std::lock_guard<support::SpinLock> Guard(ThreadLock);
+  return accessCountSumLocked(Which) - AccessCountBaseline[unsigned(Which)];
+}
+
+void MteSystem::rebaseAccessCount(AccessCount Which) {
+  std::lock_guard<support::SpinLock> Guard(ThreadLock);
+  AccessCountBaseline[unsigned(Which)] = accessCountSumLocked(Which);
 }
 
 uint64_t MteSystem::nextThreadSeed() {

@@ -14,6 +14,10 @@
 #include <atomic>
 
 namespace mte4jni::mte {
+namespace detail {
+thread_local constinit ThreadState *CurrentThreadState = nullptr;
+} // namespace detail
+
 namespace {
 std::atomic<uint64_t> NextThreadId{1};
 } // namespace
@@ -32,15 +36,15 @@ ThreadState::~ThreadState() {
   MteSystem::instance().unregisterThread(this);
 }
 
-ThreadState &ThreadState::current() {
+ThreadState &ThreadState::createCurrent() {
   thread_local ThreadState State;
+  detail::CurrentThreadState = &State;
   return State;
 }
 
 void ThreadState::latchAsyncFault(uint64_t DebugAddress, TagValue PointerTag,
                                   TagValue MemoryTag, bool IsWrite,
                                   uint32_t Size) {
-  noteMismatch();
   MteSystem::instance().stats().AsyncFaultsLatched.fetch_add(
       1, std::memory_order_relaxed);
   if (AsyncPending)

@@ -27,6 +27,8 @@ namespace {
 /// releasing thread's final plain-store against the next claimant's
 /// first add on the recycled cell.
 std::atomic<uint32_t> UsedShardMask{0};
+static_assert(kMetricShards < 32,
+              "UsedShardMask is 32 bits; 1u << kMetricShards must be defined");
 
 unsigned claimShard() {
   uint32_t Mask = UsedShardMask.load(std::memory_order_relaxed);
@@ -198,7 +200,8 @@ struct Registry {
       Counters;
   std::map<std::string, std::unique_ptr<Gauge>> Gauges;
   std::map<std::string, std::unique_ptr<Histogram>> Histograms;
-  std::map<std::string, DerivedCounterFn> Derived;
+  std::map<std::string, std::pair<DerivedCounterFn, DerivedResetFn>>
+      Derived;
   FaultRing Ring;
 };
 
@@ -240,10 +243,11 @@ Histogram &Metrics::histogram(const char *Name) {
   return *Slot;
 }
 
-void Metrics::registerDerived(const char *Name, DerivedCounterFn Fn) {
+void Metrics::registerDerived(const char *Name, DerivedCounterFn Fn,
+                              DerivedResetFn Reset) {
   Registry &R = registry();
   std::lock_guard<std::mutex> Guard(R.Lock);
-  R.Derived[Name] = Fn;
+  R.Derived[Name] = {Fn, Reset};
 }
 
 FaultRing &Metrics::faultRing() { return registry().Ring; }
@@ -259,7 +263,9 @@ MetricsSnapshot Metrics::snapshot() {
     Out.Counters.reserve(R.Counters.size() + R.Derived.size());
     for (const auto &[Name, Metric] : R.Counters)
       Out.Counters.push_back({Name, Metric.second->value()});
-    Derived.assign(R.Derived.begin(), R.Derived.end());
+    Derived.reserve(R.Derived.size());
+    for (const auto &[Name, Fns] : R.Derived)
+      Derived.push_back({Name, Fns.first});
     Out.Gauges.reserve(R.Gauges.size());
     for (const auto &[Name, G] : R.Gauges)
       Out.Gauges.push_back({Name, G->value()});
@@ -297,6 +303,9 @@ MetricsSnapshot Metrics::snapshot() {
 
 void Metrics::resetAll() {
   Registry &R = registry();
+  // Like the read callbacks in snapshot(), reset callbacks run after the
+  // registry lock is released.
+  std::vector<DerivedResetFn> Resets;
   {
     std::lock_guard<std::mutex> Guard(R.Lock);
     for (auto &[Name, Metric] : R.Counters)
@@ -305,7 +314,12 @@ void Metrics::resetAll() {
       G->reset();
     for (auto &[Name, H] : R.Histograms)
       H->reset();
+    for (const auto &[Name, Fns] : R.Derived)
+      if (Fns.second)
+        Resets.push_back(Fns.second);
   }
+  for (DerivedResetFn Reset : Resets)
+    Reset();
   R.Ring.clear();
 }
 

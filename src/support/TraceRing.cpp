@@ -20,7 +20,7 @@ namespace mte4jni::support {
 namespace obs {
 
 std::atomic<uint8_t> LevelFlag{1};
-thread_local uint32_t SampleLcg = 0;
+thread_local constinit uint32_t SampleLcg = 0;
 
 void setLevel(unsigned Level) {
   if (Level > 2)

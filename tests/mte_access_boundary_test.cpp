@@ -9,8 +9,9 @@
 // exposed: accesses that begin BELOW a PROT_MTE region and extend into it,
 // tails that run past a region's end, spans across adjacent regions, and
 // the per-thread region cache + snapshot-reclamation machinery under
-// register/unregister churn. Also pins SWAR/SIMD scan kernels to the
-// scalar reference on randomised shadow contents.
+// register/unregister churn. Also pins the SWAR scan kernel to the
+// scalar reference on randomised shadow contents, and the derived
+// mte/access/* counters to exact per-thread counts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "mte4jni/mte/Instructions.h"
 #include "mte4jni/mte/MteSystem.h"
 #include "mte4jni/mte/TaggedArena.h"
+#include "mte4jni/support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -261,6 +263,88 @@ TEST_F(MteAccessBoundaryTest, CheckedLoadsVsRegionChurn) {
   Stop.store(true, std::memory_order_relaxed);
   for (auto &R : Readers)
     R.join();
+  EXPECT_EQ(faults(), 0u);
+}
+
+// The mte/access/* counters are derived from per-thread ThreadState cells.
+// With more threads than the registry has exclusive shards, half of them
+// exited before the snapshot and half still live, every count must still
+// be exact; snapshots taken while threads count must be race-free (the
+// TSan job runs this); and resetAll must zero all four names.
+TEST_F(MteAccessBoundaryTest, DerivedAccessCountersAreExact) {
+  constexpr unsigned kThreads = 40;
+  static_assert(kThreads > support::kMetricShards);
+  const char *const kNames[] = {
+      "mte/access/checked_loads", "mte/access/checked_stores",
+      "mte/access/checked_granules", "mte/access/region_cache_hit"};
+  // One 1 KiB slice per thread, so the stores do not race.
+  mte::TaggedArena Arena(1 << 16);
+  auto *Buf = static_cast<uint8_t *>(Arena.allocate(kThreads * 1024));
+  auto P = TaggedPtr<uint8_t>::fromRaw(Buf, 6);
+  mte::setTagRange(P.cast<void>(), kThreads * 1024);
+
+  // Thread T makes 64 * (T+1) rounds. A round is 3 one-granule loads, one
+  // load straddling two granules, 2 one-granule stores and one straddling
+  // store. The straddles are naturally aligned 12-byte accesses.
+  struct Triple {
+    uint32_t V[3];
+  };
+  auto Rounds = [](unsigned T) { return 64 * (uint64_t(T) + 1); };
+  std::atomic<unsigned> Finished{0};
+  std::atomic<bool> Release{false};
+  support::MetricsSnapshot Before = support::Metrics::snapshot();
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < kThreads; ++T)
+    Threads.emplace_back([&, T] {
+      for (uint64_t R = 0; R < Rounds(T); ++R) {
+        TaggedPtr<uint8_t> Base = P + ptrdiff_t(T * 1024 + (R % 16) * 64);
+        for (int I = 0; I < 3; ++I)
+          (void)mte::load<uint32_t>((Base + 4 * I).cast<uint32_t>());
+        (void)mte::load<Triple>((Base + 8).cast<Triple>()); // granules 0-1
+        mte::store<uint32_t>((Base + 16).cast<uint32_t>(), 1);
+        mte::store<uint16_t>((Base + 20).cast<uint16_t>(), 2);
+        mte::store<Triple>((Base + 24).cast<Triple>(), {}); // granules 1-2
+      }
+      Finished.fetch_add(1);
+      if (T % 2 == 1) // odd threads stay live across the snapshot
+        while (!Release.load())
+          std::this_thread::yield();
+    });
+
+  uint64_t Seen = 0;
+  while (Finished.load() < kThreads) {
+    uint64_t Now = support::Metrics::snapshot().counterValue(kNames[0]);
+    EXPECT_GE(Now, Seen);
+    Seen = Now;
+  }
+  for (unsigned T = 0; T < kThreads; T += 2)
+    Threads[T].join();
+
+  uint64_t AllRounds = 0;
+  for (unsigned T = 0; T < kThreads; ++T)
+    AllRounds += Rounds(T);
+  // A round checks 3 + 2 load granules and 1 + 1 + 2 store granules. Each
+  // thread's first access misses the cold cache; the rest hit it.
+  const uint64_t Expected[] = {4 * AllRounds, 3 * AllRounds,
+                               (5 + 4) * AllRounds, 7 * AllRounds - kThreads};
+  support::MetricsSnapshot Mixed = support::Metrics::snapshot();
+  for (int I = 0; I < 4; ++I)
+    EXPECT_EQ(Mixed.counterValue(kNames[I]) - Before.counterValue(kNames[I]),
+              Expected[I])
+        << kNames[I];
+
+  Release.store(true);
+  for (unsigned T = 1; T < kThreads; T += 2)
+    Threads[T].join();
+  support::MetricsSnapshot Exited = support::Metrics::snapshot();
+  for (int I = 0; I < 4; ++I)
+    EXPECT_EQ(Exited.counterValue(kNames[I]), Mixed.counterValue(kNames[I]))
+        << kNames[I] << " changed when its threads exited";
+
+  support::Metrics::resetAll();
+  support::MetricsSnapshot Reset = support::Metrics::snapshot();
+  for (const char *Name : kNames)
+    EXPECT_EQ(Reset.counterValue(Name, UINT64_MAX), 0u) << Name;
   EXPECT_EQ(faults(), 0u);
 }
 

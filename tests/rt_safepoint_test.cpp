@@ -201,10 +201,16 @@ TEST(RtSafepoint, TtspRecordsLongCriticalHoldout) {
   const uint64_t SumBefore = TtspBefore ? TtspBefore->Sum : 0;
 
   std::atomic<bool> InCritical{false};
+  std::atomic<bool> PauseRequested{false};
   std::thread Holder([&] {
     RT.attachCurrentThread("holder");
     RT.enterCritical();
     InCritical.store(true);
+    // Hold ~10ms from the pause request, not from entry: on a loaded host
+    // the collector can be descheduled for longer than a fixed hold, and
+    // then it requests the pause after the holder has already left.
+    while (!PauseRequested.load())
+      std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     RT.exitCritical();
     RT.detachCurrentThread();
@@ -213,6 +219,7 @@ TEST(RtSafepoint, TtspRecordsLongCriticalHoldout) {
     std::this_thread::yield();
 
   RT.attachCurrentThread("gc", ThreadKind::GcSupport);
+  PauseRequested.store(true);
   RT.beginPause(); // blocks until Holder drains: ttsp ~= the hold time
   RT.endPause();
   RT.detachCurrentThread();

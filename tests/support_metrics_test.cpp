@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <thread>
 #include <vector>
@@ -337,6 +338,29 @@ TEST_F(MetricsTest, FaultRingConcurrentRecordsKeepDenseSequences) {
   ASSERT_EQ(Events.size(), FaultRing::kCapacity);
   for (size_t I = 1; I < Events.size(); ++I)
     EXPECT_EQ(Events[I].Sequence, Events[I - 1].Sequence + 1);
+}
+
+// A derived counter whose source resetAll cannot zero rebaselines through
+// its reset callback; one without a callback keeps reading its source.
+std::atomic<uint64_t> DerivedSource{0};
+std::atomic<uint64_t> DerivedBaseline{0};
+
+TEST_F(MetricsTest, ResetAllCallsDerivedResetCallbacks) {
+  Metrics::registerDerived(
+      "test/derived/rebased",
+      +[] { return DerivedSource.load() - DerivedBaseline.load(); },
+      +[] { DerivedBaseline.store(DerivedSource.load()); });
+  Metrics::registerDerived("test/derived/mirror",
+                           +[] { return DerivedSource.load(); });
+  DerivedSource.store(7);
+  EXPECT_EQ(Metrics::snapshot().counterValue("test/derived/rebased"), 7u);
+
+  Metrics::resetAll();
+  MetricsSnapshot S = Metrics::snapshot();
+  EXPECT_EQ(S.counterValue("test/derived/rebased", 99), 0u);
+  EXPECT_EQ(S.counterValue("test/derived/mirror"), 7u);
+  DerivedSource.store(10);
+  EXPECT_EQ(Metrics::snapshot().counterValue("test/derived/rebased"), 3u);
 }
 
 TEST_F(MetricsTest, ResetAllZeroesEverything) {
