@@ -190,6 +190,10 @@ private:
   void releaseObject(rt::ObjectHeader *Obj, const char *Interface,
                      uint64_t Bits, jint Mode);
 
+  /// Closes one of this env's critical regions for a Release*Critical;
+  /// raises a JNI check error and returns false when none is open.
+  bool closeCriticalRegion(const char *Interface);
+
   rt::Runtime &RT;
   CheckPolicy &Policy;
 
@@ -202,6 +206,12 @@ private:
   /// each. A JniEnv is single-threaded (one per attached thread, like real
   /// JNI), so no lock is needed.
   uint32_t PinDepth = 0;
+
+  /// Open Get*Critical regions of this env. Counted here, not read off the
+  /// runtime's critical depth: inside rt::callNative that depth is never 0,
+  /// so only this count can tell a stray Release*Critical from a matched
+  /// one.
+  uint32_t CriticalRegions = 0;
 
   /// Outstanding GetStringUTFChars buffers: bits -> byte size.
   std::unordered_map<uint64_t, uint64_t> UtfBuffers;

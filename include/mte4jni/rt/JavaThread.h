@@ -21,12 +21,21 @@
 
 #include "mte4jni/support/Compiler.h"
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
 namespace mte4jni::rt {
 
+class JavaThread;
 class Runtime;
+
+namespace detail {
+/// The calling thread's JavaThread while it is attached, else null.
+/// constinit on the declaration too, so every read is a plain TLS load
+/// with no dynamic-initialization guard call.
+extern thread_local constinit JavaThread *CurrentJavaThread;
+} // namespace detail
 
 enum class ThreadKind : uint8_t {
   /// An application thread that runs Java code and calls native methods.
@@ -43,11 +52,11 @@ enum class JavaThreadState : uint8_t {
 
 class JavaThread {
 public:
-  /// The calling thread's JavaThread, or nullptr when not attached.
-  static JavaThread *currentOrNull();
-
-  /// The calling thread's JavaThread; asserts when not attached.
-  static JavaThread &current();
+  /// The calling thread's JavaThread, or nullptr when not attached. One
+  /// TLS load.
+  M4J_ALWAYS_INLINE static JavaThread *currentOrNull() {
+    return detail::CurrentJavaThread;
+  }
 
   Runtime &runtime() const { return RT; }
   const std::string &name() const { return Name; }
@@ -65,17 +74,30 @@ public:
   /// Per-thread JNI critical-section nesting depth.
   uint32_t criticalDepth() const { return CriticalDepth; }
 
+  /// Unlinks the thread from its runtime's thread list, if that runtime
+  /// is still live. Runs at detachCurrentThread() and, for a thread that
+  /// exits attached, at thread exit.
   ~JavaThread();
 
 private:
   friend class Runtime;
-  JavaThread(Runtime &RT, std::string Name, ThreadKind Kind);
+  JavaThread(Runtime &RT, uint64_t RuntimeId, std::string Name,
+             ThreadKind Kind);
 
   Runtime &RT;
+  /// RT's never-reused identity. A later Runtime can reuse RT's address,
+  /// so the destructor matches on this, not on &RT.
+  const uint64_t RuntimeId;
   std::string Name;
   ThreadKind Kind;
   JavaThreadState State = JavaThreadState::Runnable;
   uint32_t CriticalDepth = 0;
+  /// This thread's safepoint claim: 1 while it is inside a runtime critical
+  /// section and not parked at a safepoint. Only this thread stores it; a
+  /// collector loads it under Runtime::PauseLock to decide the world has
+  /// drained (DESIGN.md §11). Its own cache line, so the stores on every
+  /// native call never share a line with another thread's claim.
+  alignas(64) std::atomic<uint32_t> Claim{0};
 };
 
 } // namespace mte4jni::rt

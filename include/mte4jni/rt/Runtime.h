@@ -25,6 +25,7 @@
 #include "mte4jni/rt/Heap.h"
 #include "mte4jni/rt/JavaThread.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -103,13 +104,50 @@ public:
   /// (GetPrimitiveArrayCritical / GetStringCritical), by every JNI
   /// operation that touches an object payload (pin/unpin, region copies),
   /// and by rt::callNative, which brackets the whole native method body —
-  /// making native-call entry the natural safepoint. Nested enters from an
-  /// attached thread are pure thread-local bookkeeping (no atomics).
-  void enterCritical();
-  void exitCritical();
+  /// making native-call entry the natural safepoint. The calling thread
+  /// must be attached. The outermost enter and exit each store to the
+  /// thread's own claim and load PauseActive; nested ones touch only the
+  /// thread's nesting depth. Header-inline: every native call and JNI pin
+  /// runs several of these brackets.
+  M4J_ALWAYS_INLINE void enterCritical() {
+    JavaThread *Thread = JavaThread::currentOrNull();
+    M4J_ASSERT(Thread != nullptr, "enterCritical: attach first");
+    // Nested enter: this thread already holds its claim and a pause cannot
+    // begin while it does, so the bookkeeping is thread-local.
+    if (Thread->CriticalDepth++ > 0)
+      return;
+    // Claim, then check for a pause: a store to this thread's own line and
+    // a load, both seq_cst. They pair with beginPause's PauseActive store
+    // and claim loads: in the seq_cst total order either the claim precedes
+    // the collector's drain check (it waits for us) or the collector's
+    // store precedes our load (we back out) — both missing is impossible.
+    // A pause seen before claiming is waited out without claiming, so
+    // that entry never wakes the collector.
+    if (M4J_LIKELY(!PauseActive.load(std::memory_order_seq_cst))) {
+      Thread->Claim.store(1, std::memory_order_seq_cst);
+      if (M4J_LIKELY(!PauseActive.load(std::memory_order_seq_cst)))
+        return;
+    }
+    parkUntilResumed(Thread);
+  }
+  M4J_ALWAYS_INLINE void exitCritical() {
+    JavaThread *Thread = JavaThread::currentOrNull();
+    M4J_ASSERT(Thread != nullptr && Thread->CriticalDepth > 0,
+               "exitCritical underflow");
+    if (--Thread->CriticalDepth > 0)
+      return; // still nested: the claim stays
+    // Publish-then-wake. The release is seq_cst: a release store would let
+    // the PauseActive load pass it, and a collector that then read the
+    // stale claim would wait forever. The wakeup runs under PauseLock, so
+    // the collector either sees the claim clear at its locked predicate
+    // check or receives the notify.
+    Thread->Claim.store(0, std::memory_order_seq_cst);
+    if (M4J_UNLIKELY(PauseActive.load(std::memory_order_seq_cst)))
+      wakeCollector();
+  }
 
-  /// The calling thread's critical nesting depth when it is attached;
-  /// otherwise the number of threads currently inside a critical section.
+  /// The calling thread's critical nesting depth. The calling thread must
+  /// be attached.
   uint32_t criticalDepth() const;
 
   /// Safepoint checkpoint for long-running native sections (per-char
@@ -131,11 +169,28 @@ public:
   void beginPause();
   void endPause();
 
-  /// The currently live runtime, or nullptr.
-  static Runtime *currentOrNull();
-
 private:
+  friend class JavaThread;
+
+  /// Removes \p Thread from the thread list of the runtime it attached
+  /// to, if that runtime is still live; a no-op once it is gone.
+  static void unlinkThread(JavaThread &Thread);
+
+  /// True when no attached thread holds a claim. PauseLock must be held.
+  bool worldDrained() const;
+
+  /// Waits out the active pause at a safepoint: releases \p Thread's claim
+  /// if it holds one and wakes the collector, then, if \p Thread is inside
+  /// a critical section, claims under PauseLock once the pause ends, so no
+  /// new pause can begin before the claim is back.
+  M4J_NOINLINE void parkUntilResumed(JavaThread *Thread);
+
+  /// Notifies the pause owner, under PauseLock, that a claim was released.
+  M4J_NOINLINE void wakeCollector();
+
   RuntimeConfig Config;
+  /// Never reused, unlike the address: see JavaThread::RuntimeId.
+  const uint64_t Id;
   std::unique_ptr<JavaHeap> Heap;
   std::unique_ptr<GcController> Gc;
 
@@ -143,18 +198,24 @@ private:
   std::vector<HandleScope *> Scopes;
 
   // Critical-section / pause coordination. The critical fast path (no GC
-  // pause pending) is lock-free: benchmark comparisons of the policies'
-  // own locking (Figure 6) must not be drowned by a shared runtime mutex.
+  // pause pending) is lock-free and writes only the calling thread's own
+  // cache line: benchmark comparisons of the policies' own locking
+  // (Figure 6) must not be drowned by a shared runtime word.
   //
   // Protocol invariants (see DESIGN.md §11 for the state diagram):
-  //   * CriticalCount counts THREADS currently inside >= 1 critical
-  //     section (per-thread nesting lives in JavaThread::CriticalDepth),
-  //     so nested enter/exit never touches the shared cache line.
-  //   * All CriticalCount RMWs and PauseActive loads/stores on the
-  //     handshake paths are seq_cst: either the entering mutator observes
-  //     PauseActive or the collector observes the incremented count — the
-  //     store-buffering outcome where both miss is excluded.
-  //   * Every decrement that can unblock a waiting collector notifies
+  //   * Each attached thread publishes one claim, JavaThread::Claim: 1
+  //     while it is inside >= 1 critical section and not parked at a
+  //     safepoint. Only that thread stores it; nesting lives in
+  //     JavaThread::CriticalDepth and never touches the claim.
+  //   * Every claim store and every PauseActive load/store on the
+  //     handshake paths is seq_cst (an xchg on the thread's own line):
+  //     either the entering mutator observes PauseActive or the collector
+  //     observes the claim — the store-buffering outcome where both miss
+  //     is excluded, per thread.
+  //   * The world has drained when every thread in Threads has claim 0.
+  //     The collector evaluates that under PauseLock, and attach and
+  //     unlink change Threads under PauseLock.
+  //   * Every claim release that can unblock a waiting collector notifies
   //     DrainCv while holding PauseLock, so the collector (whose predicate
   //     check runs under the same lock) cannot lose the wakeup. DrainCv
   //     has at most ONE waiter (the pause owner) and is notify_one;
@@ -163,10 +224,10 @@ private:
   //     every mid-drain exitCritical spuriously wake every blocked mutator
   //     (an O(threads^2) scheduler storm per pause on small machines).
   std::mutex PauseLock;
-  std::condition_variable DrainCv;  ///< pause owner waits for count==0
+  std::condition_variable DrainCv;  ///< pause owner waits for worldDrained()
   std::condition_variable ResumeCv; ///< mutators/queued collectors wait !PauseActive
   std::atomic<bool> PauseActive{false};
-  std::atomic<uint32_t> CriticalCount{0};
+  std::vector<JavaThread *> Threads; ///< attached threads, in attach order
 };
 
 /// RAII runtime critical section: the bracket JNI payload operations and

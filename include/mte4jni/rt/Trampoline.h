@@ -88,8 +88,9 @@ auto callNative(JavaThread &Thread, NativeKind Kind, const char *MethodName,
   // Native-call entry is the runtime's safepoint: the body runs inside a
   // runtime critical section, so a GC stop-the-world pause either ends
   // before the native method starts touching payloads or waits until the
-  // call returns (or reaches a Runtime::safepointPoll checkpoint). JNI
-  // criticals/pins taken inside the body nest for free (thread-local).
+  // call returns (or reaches a Runtime::safepointPoll checkpoint). The
+  // bracket stores only this thread's own claim; JNI criticals/pins taken
+  // inside the body nest for free (thread-local depth).
   ScopedCritical Safepoint(Thread.runtime());
   switch (Kind) {
   case NativeKind::Regular: {

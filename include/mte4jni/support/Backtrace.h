@@ -20,11 +20,22 @@
 #ifndef MTE4JNI_SUPPORT_BACKTRACE_H
 #define MTE4JNI_SUPPORT_BACKTRACE_H
 
+#include "mte4jni/support/Compiler.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace mte4jni::support {
+
+class FrameStack;
+
+namespace detail {
+/// The calling thread's FrameStack once created, else null. constinit on
+/// the declaration too, so every read is a plain TLS load with no
+/// dynamic-initialization guard call.
+extern thread_local constinit FrameStack *CurrentFrameStack;
+} // namespace detail
 
 /// One simulated stack frame.
 struct FrameInfo {
@@ -39,8 +50,14 @@ struct FrameInfo {
 /// The current thread's simulated frame stack. Cheap: push/pop of a POD.
 class FrameStack {
 public:
-  /// Accessor for the calling thread's stack.
-  static FrameStack &current();
+  /// Accessor for the calling thread's stack; created on first use.
+  /// After that, one TLS load.
+  M4J_ALWAYS_INLINE static FrameStack &current() {
+    FrameStack *Stack = detail::CurrentFrameStack;
+    if (M4J_LIKELY(Stack != nullptr))
+      return *Stack;
+    return createCurrent();
+  }
 
   void push(const FrameInfo &Frame) { Frames.push_back(Frame); }
   void pop() {
@@ -55,6 +72,9 @@ public:
   bool empty() const { return Frames.empty(); }
 
 private:
+  /// Constructs the calling thread's stack on its first current().
+  static M4J_NOINLINE FrameStack &createCurrent();
+
   std::vector<FrameInfo> Frames;
 };
 

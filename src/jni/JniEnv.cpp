@@ -151,6 +151,18 @@ void JniEnv::releaseObject(rt::ObjectHeader *Obj, const char *Interface,
 
 // ==== critical interfaces ================================================
 
+bool JniEnv::closeCriticalRegion(const char *Interface) {
+  // CheckJNI: releasing a critical you never entered is a native bug. Left
+  // through, it would unpin a buffer this env never pinned (or steal
+  // another thread's pin) and drop a runtime claim it does not own.
+  if (CriticalRegions == 0) {
+    raiseError(Interface, "no JNI critical region is open on this env");
+    return false;
+  }
+  --CriticalRegions;
+  return true;
+}
+
 mte::TaggedPtr<void> JniEnv::GetPrimitiveArrayCritical(jarray Array,
                                                        jboolean *IsCopy) {
   support::ScopedFrame Frame("GetPrimitiveArrayCritical", "libart.so");
@@ -163,6 +175,7 @@ mte::TaggedPtr<void> JniEnv::GetPrimitiveArrayCritical(jarray Array,
     return mte::TaggedPtr<void>();
   }
   RT.enterCritical();
+  ++CriticalRegions;
   jniMetrics().CriticalEnters.add();
   return mte::TaggedPtr<void>::fromBits(
       acquireObject(Array, "GetPrimitiveArrayCritical", IsCopy));
@@ -176,13 +189,8 @@ void JniEnv::ReleasePrimitiveArrayCritical(jarray Array,
     raiseError("ReleasePrimitiveArrayCritical", "bad array argument");
     return;
   }
-  // CheckJNI: releasing a critical you never entered is a native bug that
-  // would corrupt the runtime's critical accounting.
-  if (RT.criticalDepth() == 0) {
-    raiseError("ReleasePrimitiveArrayCritical",
-               "no JNI critical section is active on this runtime");
+  if (!closeCriticalRegion("ReleasePrimitiveArrayCritical"))
     return;
-  }
   releaseObject(Array, "ReleasePrimitiveArrayCritical", Carray.bits(), Mode);
   RT.exitCritical();
 }
@@ -193,6 +201,7 @@ mte::TaggedPtr<const jchar> JniEnv::GetStringCritical(jstring Str,
   if (!checkString(Str, "GetStringCritical"))
     return mte::TaggedPtr<const jchar>();
   RT.enterCritical();
+  ++CriticalRegions;
   jniMetrics().CriticalEnters.add();
   return mte::TaggedPtr<const jchar>::fromBits(
       acquireObject(Str, "GetStringCritical", IsCopy));
@@ -201,7 +210,8 @@ mte::TaggedPtr<const jchar> JniEnv::GetStringCritical(jstring Str,
 void JniEnv::ReleaseStringCritical(jstring Str,
                                    mte::TaggedPtr<const jchar> Chars) {
   support::ScopedFrame Frame("ReleaseStringCritical", "libart.so");
-  if (!checkString(Str, "ReleaseStringCritical"))
+  if (!checkString(Str, "ReleaseStringCritical") ||
+      !closeCriticalRegion("ReleaseStringCritical"))
     return;
   releaseObject(Str, "ReleaseStringCritical", Chars.bits(), 0);
   RT.exitCritical();

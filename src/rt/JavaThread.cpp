@@ -11,20 +11,14 @@
 #include "mte4jni/rt/Runtime.h"
 
 namespace mte4jni::rt {
-namespace {
-thread_local JavaThread *CurrentThread = nullptr;
-} // namespace
+namespace detail {
+thread_local constinit JavaThread *CurrentJavaThread = nullptr;
+} // namespace detail
 
-JavaThread *JavaThread::currentOrNull() { return CurrentThread; }
-
-JavaThread &JavaThread::current() {
-  M4J_ASSERT(CurrentThread != nullptr, "thread not attached to the runtime");
-  return *CurrentThread;
-}
-
-JavaThread::JavaThread(Runtime &RT, std::string Name, ThreadKind Kind)
-    : RT(RT), Name(std::move(Name)), Kind(Kind) {
-  CurrentThread = this;
+JavaThread::JavaThread(Runtime &RT, uint64_t RuntimeId, std::string Name,
+                       ThreadKind Kind)
+    : RT(RT), RuntimeId(RuntimeId), Name(std::move(Name)), Kind(Kind) {
+  detail::CurrentJavaThread = this;
   if (RT.config().TagChecksInNative) {
     // Under the MTE4JNI schemes every attached thread starts with TCO set:
     // managed code and support threads must not be tag-checked. Only the
@@ -34,11 +28,10 @@ JavaThread::JavaThread(Runtime &RT, std::string Name, ThreadKind Kind)
 }
 
 JavaThread::~JavaThread() {
-  // Clear the TLS slot when the thread detaches itself; when the runtime
-  // tears down leftover threads from another thread, leave that thread's
-  // slot alone.
-  if (CurrentThread == this)
-    CurrentThread = nullptr;
+  // Only the owning thread destroys its JavaThread (detach, or its
+  // thread-local holder at thread exit), so the TLS slot is its own.
+  detail::CurrentJavaThread = nullptr;
+  Runtime::unlinkThread(*this);
 }
 
 void JavaThread::transitionToNative() {

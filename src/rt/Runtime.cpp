@@ -20,16 +20,18 @@
 
 namespace mte4jni::rt {
 namespace {
+// LiveLock guards LiveRuntime. A JavaThread unlinks itself under it, so
+// it can tell whether the runtime it attached to is still live without
+// touching a runtime that is gone.
+std::mutex LiveLock;
 Runtime *LiveRuntime = nullptr;
+std::atomic<uint64_t> NextRuntimeId{1};
 thread_local std::unique_ptr<JavaThread> AttachedThread;
 } // namespace
 
-Runtime *Runtime::currentOrNull() { return LiveRuntime; }
-
-Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
-  M4J_ASSERT(LiveRuntime == nullptr,
-             "only one Runtime may be live at a time");
-
+Runtime::Runtime(const RuntimeConfig &Config)
+    : Config(Config),
+      Id(NextRuntimeId.fetch_add(1, std::memory_order_relaxed)) {
   // Configure the process-wide MTE simulator for this scheme, like an app
   // process would at startup: reset, seed, prctl(TCF mode).
   mte::MteSystem &System = mte::MteSystem::instance();
@@ -40,7 +42,12 @@ Runtime::Runtime(const RuntimeConfig &Config) : Config(Config) {
   Heap = std::make_unique<JavaHeap>(Config.Heap);
   Gc = std::make_unique<GcController>(*this, Config.Gc);
 
-  LiveRuntime = this;
+  {
+    std::lock_guard<std::mutex> Guard(LiveLock);
+    M4J_ASSERT(LiveRuntime == nullptr,
+               "only one Runtime may be live at a time");
+    LiveRuntime = this;
+  }
   if (Config.Gc.BackgroundThread)
     Gc->start();
 }
@@ -50,6 +57,9 @@ Runtime::~Runtime() {
   Gc.reset();
   Heap.reset();
   mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::None);
+  // Threads still attached now outlive this runtime: unlinkThread leaves
+  // them alone from here on.
+  std::lock_guard<std::mutex> Guard(LiveLock);
   LiveRuntime = nullptr;
 }
 
@@ -57,7 +67,11 @@ JavaThread &Runtime::attachCurrentThread(std::string Name, ThreadKind Kind) {
   M4J_ASSERT(JavaThread::currentOrNull() == nullptr,
              "thread already attached");
   support::FlightRecorder::setThreadLabel(Name);
-  AttachedThread.reset(new JavaThread(*this, std::move(Name), Kind));
+  AttachedThread.reset(new JavaThread(*this, Id, std::move(Name), Kind));
+  {
+    std::lock_guard<std::mutex> Guard(PauseLock);
+    Threads.push_back(AttachedThread.get());
+  }
   // Thread attach enters the kernel (clone/futex): a syscall boundary.
   support::syscallBarrier("clone");
   return *AttachedThread;
@@ -70,7 +84,21 @@ void Runtime::detachCurrentThread() {
   support::syscallBarrier("exit");
   if (Config.TagChecksInNative)
     mte::ThreadState::current().setTco(false); // restore hardware default
-  AttachedThread.reset();
+  AttachedThread.reset(); // ~JavaThread unlinks it
+}
+
+void Runtime::unlinkThread(JavaThread &Thread) {
+  std::lock_guard<std::mutex> Live(LiveLock);
+  if (LiveRuntime == nullptr || LiveRuntime->Id != Thread.RuntimeId)
+    return; // its runtime is gone
+  Runtime &RT = *LiveRuntime;
+  std::lock_guard<std::mutex> Guard(RT.PauseLock);
+  auto It = std::find(RT.Threads.begin(), RT.Threads.end(), &Thread);
+  M4J_ASSERT(It != RT.Threads.end(), "unlinking a thread never attached");
+  RT.Threads.erase(It);
+  // A thread that exits inside a critical section takes its claim with
+  // it; a draining collector must re-check.
+  RT.DrainCv.notify_one();
 }
 
 // Allocation and rooting must be one atomic step with respect to the
@@ -164,96 +192,56 @@ void Runtime::updateRootsAfterMove(
 }
 
 uint32_t Runtime::criticalDepth() const {
-  // Attached threads report their own nesting depth (what the JNI
-  // CheckJNI-style assertions care about); unattached callers see the
-  // number of threads currently inside a critical section.
-  if (const JavaThread *Thread = JavaThread::currentOrNull())
-    return Thread->CriticalDepth;
-  return CriticalCount.load(std::memory_order_seq_cst);
+  const JavaThread *Thread = JavaThread::currentOrNull();
+  M4J_ASSERT(Thread != nullptr, "criticalDepth: attach first");
+  return Thread->CriticalDepth;
 }
 
-void Runtime::enterCritical() {
-  JavaThread *Thread = JavaThread::currentOrNull();
-  // Nested enter: this thread already holds its world-visible claim and a
-  // pause cannot begin while it does, so the bookkeeping is thread-local.
-  if (Thread && Thread->CriticalDepth > 0) {
-    ++Thread->CriticalDepth;
-    return;
-  }
-  for (;;) {
-    // Fast path: no pause pending — one RMW, no mutex. seq_cst pairs with
-    // beginPause's PauseActive store + CriticalCount load: in the seq_cst
-    // total order either our increment precedes the collector's drain
-    // check (it waits for us) or the collector's store precedes our
-    // re-check (we back out) — both sides missing is impossible.
-    if (M4J_LIKELY(!PauseActive.load(std::memory_order_seq_cst))) {
-      CriticalCount.fetch_add(1, std::memory_order_seq_cst);
-      if (M4J_LIKELY(!PauseActive.load(std::memory_order_seq_cst)))
-        break;
-      // A pause began between the load and the increment: back out, and
-      // wake the collector unconditionally — it may be waiting on exactly
-      // this decrement. The notify runs under PauseLock, so a collector
-      // that saw a non-zero count under the same lock cannot miss it.
-      CriticalCount.fetch_sub(1, std::memory_order_seq_cst);
-      {
-        std::lock_guard<std::mutex> Wake(PauseLock);
-        DrainCv.notify_one();
-      }
-    }
-    // Slow path: wait for the pause to finish.
-    std::unique_lock<std::mutex> Guard(PauseLock);
-    ResumeCv.wait(Guard, [this] {
-      return !PauseActive.load(std::memory_order_seq_cst);
-    });
-  }
-  if (Thread)
-    Thread->CriticalDepth = 1;
+bool Runtime::worldDrained() const {
+  for (const JavaThread *Thread : Threads)
+    if (Thread->Claim.load(std::memory_order_seq_cst) != 0)
+      return false;
+  return true;
 }
 
-void Runtime::exitCritical() {
-  JavaThread *Thread = JavaThread::currentOrNull();
-  if (Thread) {
-    M4J_ASSERT(Thread->CriticalDepth > 0, "exitCritical underflow");
-    if (--Thread->CriticalDepth > 0)
-      return; // still nested: the world-visible claim stays
-  }
-  uint32_t Prev = CriticalCount.fetch_sub(1, std::memory_order_seq_cst);
-  M4J_ASSERT(Prev > 0, "critical count underflow");
-  (void)Prev;
-  // Publish-then-wake: the decrement is already visible (seq_cst) and the
-  // notify happens under PauseLock, so the collector either sees count==0
-  // at its locked predicate check or receives this notify — the rendezvous
-  // cannot lose the wakeup (this replaced beginPause's wait_for polling).
-  // DrainCv's only possible waiter is the pause owner: notify_one, and no
-  // blocked mutator is disturbed by a mid-drain exit.
-  if (M4J_UNLIKELY(PauseActive.load(std::memory_order_seq_cst))) {
-    std::lock_guard<std::mutex> Wake(PauseLock);
+void Runtime::parkUntilResumed(JavaThread *Thread) {
+  const bool InCritical = Thread && Thread->CriticalDepth > 0;
+  // An entry that saw the pause before claiming holds no claim to release.
+  const bool Release =
+      InCritical && Thread->Claim.load(std::memory_order_relaxed) != 0;
+  if (Release)
+    Thread->Claim.store(0, std::memory_order_seq_cst);
+  std::unique_lock<std::mutex> Guard(PauseLock);
+  // The collector may be waiting on exactly the claim released above. The
+  // notify runs under PauseLock, so a collector that saw the claim under
+  // the same lock cannot miss it. DrainCv's only possible waiter is the
+  // pause owner: notify_one, and no blocked mutator is disturbed.
+  if (Release)
     DrainCv.notify_one();
-  }
+  ResumeCv.wait(Guard, [this] {
+    return !PauseActive.load(std::memory_order_seq_cst);
+  });
+  // Claim under PauseLock: a new pause sets PauseActive and checks the
+  // claims under this lock, so it sees this claim. Pinned buffers stayed
+  // valid throughout (pins block sweep and compaction); only payload
+  // access had to stop.
+  if (InCritical)
+    Thread->Claim.store(1, std::memory_order_seq_cst);
+}
+
+void Runtime::wakeCollector() {
+  std::lock_guard<std::mutex> Wake(PauseLock);
+  DrainCv.notify_one();
 }
 
 void Runtime::safepointPoll() {
   // Fast path: no pause requested — one seq_cst load, no shared writes.
   if (M4J_LIKELY(!PauseActive.load(std::memory_order_seq_cst)))
     return;
-  JavaThread *Thread = JavaThread::currentOrNull();
-  const bool ParkClaim = Thread && Thread->CriticalDepth > 0;
-  if (ParkClaim)
-    CriticalCount.fetch_sub(1, std::memory_order_seq_cst);
   static support::Counter &Blocks =
       support::Metrics::counter("rt/gc/safepoint_blocks");
   Blocks.add();
-  std::unique_lock<std::mutex> Guard(PauseLock);
-  // The collector may be waiting on exactly the decrement above.
-  DrainCv.notify_one();
-  ResumeCv.wait(Guard, [this] {
-    return !PauseActive.load(std::memory_order_seq_cst);
-  });
-  // Re-claim under PauseLock: no new pause can begin before we do (the
-  // pinned buffers this thread holds stayed valid throughout — pins block
-  // sweep and compaction; only payload access had to stop).
-  if (ParkClaim)
-    CriticalCount.fetch_add(1, std::memory_order_seq_cst);
+  parkUntilResumed(JavaThread::currentOrNull());
 }
 
 void Runtime::beginPause() {
@@ -263,14 +251,11 @@ void Runtime::beginPause() {
   // by definition. endPause restores the claim. Without this, the thread
   // would deadlock waiting for its own critical section to drain.
   JavaThread *Self = JavaThread::currentOrNull();
-  const bool ParkedOwnClaim = Self && Self->CriticalDepth > 0;
-  if (ParkedOwnClaim) {
-    CriticalCount.fetch_sub(1, std::memory_order_seq_cst);
-    // Another collector may already be draining: hand it the decrement.
-    if (PauseActive.load(std::memory_order_seq_cst)) {
-      std::lock_guard<std::mutex> Wake(PauseLock);
-      DrainCv.notify_one();
-    }
+  if (Self && Self->CriticalDepth > 0) {
+    Self->Claim.store(0, std::memory_order_seq_cst);
+    // Another collector may already be draining: hand it the release.
+    if (PauseActive.load(std::memory_order_seq_cst))
+      wakeCollector();
   }
 
   std::unique_lock<std::mutex> Guard(PauseLock);
@@ -281,14 +266,13 @@ void Runtime::beginPause() {
   });
   const uint64_t RequestNanos = support::monotonicNanos();
   PauseActive.store(true, std::memory_order_seq_cst);
-  // The rendezvous: wait for every thread inside a critical section to
-  // reach its safepoint (exitCritical, safepointPoll or the enterCritical
-  // backout — all publish their decrement with seq_cst and notify DrainCv
-  // under PauseLock). This thread is DrainCv's only possible waiter: it
-  // owns PauseActive. A plain condition wait suffices; no timeout crutch.
-  DrainCv.wait(Guard, [this] {
-    return CriticalCount.load(std::memory_order_seq_cst) == 0;
-  });
+  // The rendezvous: wait for every attached thread inside a critical
+  // section to reach its safepoint (exitCritical, safepointPoll, the
+  // enterCritical backout or unlinking — all publish their claim release
+  // with seq_cst and notify DrainCv under PauseLock). This thread is
+  // DrainCv's only possible waiter: it owns PauseActive. A plain condition
+  // wait suffices; no timeout crutch.
+  DrainCv.wait(Guard, [this] { return worldDrained(); });
   const uint64_t ReachedNanos = support::monotonicNanos();
 
   // Time-to-safepoint: how long the world took to actually stop after the
@@ -311,7 +295,7 @@ void Runtime::endPause() {
   // no new pause can slip in between (PauseLock is held, and a beginPause
   // already past its own-claim check waits for !PauseActive under it).
   if (Self && Self->CriticalDepth > 0)
-    CriticalCount.fetch_add(1, std::memory_order_seq_cst);
+    Self->Claim.store(1, std::memory_order_seq_cst);
   PauseActive.store(false, std::memory_order_seq_cst);
   // The one broadcast per pause: release every blocked mutator (and any
   // queued collector) together.

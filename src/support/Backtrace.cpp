@@ -10,13 +10,17 @@
 #include "mte4jni/support/StringUtils.h"
 
 namespace mte4jni::support {
+namespace detail {
+thread_local constinit FrameStack *CurrentFrameStack = nullptr;
+} // namespace detail
 
 std::string FrameInfo::str() const {
   return format("%s (%s)", Function, Module);
 }
 
-FrameStack &FrameStack::current() {
+FrameStack &FrameStack::createCurrent() {
   thread_local FrameStack Stack;
+  detail::CurrentFrameStack = &Stack;
   return Stack;
 }
 

@@ -7,6 +7,8 @@
 
 #include "mte4jni/api/Session.h"
 #include "mte4jni/mte/Access.h"
+#include "mte4jni/rt/JavaString.h"
+#include "mte4jni/rt/Trampoline.h"
 
 #include <gtest/gtest.h>
 
@@ -168,6 +170,65 @@ TEST_F(JniEnvTest, CriticalTracksRuntimeDepth) {
   EXPECT_EQ(S->runtime().criticalDepth(), 1u);
   env().ReleasePrimitiveArrayCritical(A, P, 0);
   EXPECT_EQ(S->runtime().criticalDepth(), 0u);
+}
+
+// A Release*Critical with no open Get*Critical on its env is a CheckJNI
+// error that touches nothing. Inside a native call the runtime's critical
+// depth is already 1 (the trampoline's bracket), so only the env's own
+// count can tell a stray release from a matched one. Let through, the
+// stray release would drop a pin the env does not hold and, with it, the
+// trampoline's claim, leaving the rest of the body outside the bracket.
+TEST(JniEnvCritical, StrayCriticalReleasesInsideNativeCallAreErrors) {
+  api::SessionConfig C;
+  C.Protection = api::Scheme::Mte4JniSync;
+  C.HeapBytes = 8 << 20;
+  api::Session S(C);
+  api::ScopedAttach Main(S, "main");
+  rt::HandleScope Scope(S.runtime());
+  JniEnv &Env = Main.env();
+  jintArray A = Env.NewIntArray(Scope, 16);
+  jstring Str = Env.NewStringUTF(Scope, "stray");
+
+  rt::callNative(Main.thread(), rt::NativeKind::Regular, "stray", [&] {
+    jboolean IsCopy;
+    // A pin of A taken through another interface: the stray critical
+    // release must not steal it.
+    auto Elems = Env.GetIntArrayElements(A, &IsCopy);
+    ASSERT_EQ(A->pinCount(), 1u);
+
+    Env.ReleasePrimitiveArrayCritical(A, Elems.cast<void>(), 0);
+    EXPECT_TRUE(Env.ExceptionCheck());
+    EXPECT_NE(Env.exceptionMessage().find("critical"), std::string::npos);
+    Env.ExceptionClear();
+    EXPECT_EQ(A->pinCount(), 1u) << "the stray release took a pin";
+    EXPECT_EQ(S.runtime().criticalDepth(), 1u)
+        << "the stray release dropped the trampoline's claim";
+
+    Env.ReleaseStringCritical(
+        Str, mte::TaggedPtr<const jchar>::fromRaw(rt::stringChars(Str)));
+    EXPECT_TRUE(Env.ExceptionCheck());
+    EXPECT_NE(Env.exceptionMessage().find("critical"), std::string::npos);
+    Env.ExceptionClear();
+    EXPECT_EQ(Str->pinCount(), 0u);
+    EXPECT_EQ(S.runtime().criticalDepth(), 1u);
+
+    Env.ReleaseIntArrayElements(A, Elems, 0);
+    EXPECT_EQ(A->pinCount(), 0u);
+  });
+  EXPECT_EQ(S.runtime().criticalDepth(), 0u);
+
+  // The next native call works: a matched critical nests and unwinds.
+  rt::callNative(Main.thread(), rt::NativeKind::Regular, "after", [&] {
+    jboolean IsCopy;
+    auto P = Env.GetPrimitiveArrayCritical(A, &IsCopy).cast<jint>();
+    EXPECT_EQ(S.runtime().criticalDepth(), 2u);
+    mte::store<jint>(P + 3, 33);
+    Env.ReleasePrimitiveArrayCritical(A, P.cast<void>(), 0);
+    EXPECT_FALSE(Env.ExceptionCheck());
+    EXPECT_EQ(S.runtime().criticalDepth(), 1u);
+  });
+  EXPECT_EQ(rt::arrayData<jint>(A)[3], 33);
+  EXPECT_EQ(A->pinCount(), 0u);
 }
 
 TEST_F(JniEnvTest, StringCreationAndQueries) {

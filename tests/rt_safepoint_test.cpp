@@ -9,9 +9,11 @@
 // rt::callNative body holds off the GC pause until it reaches a
 // checkpoint; once the pause is granted the world is actually stopped
 // (zero payload writes land while it holds); time-to-safepoint is
-// observable in rt/gc/ttsp_nanos; and the OOM-retry path in the object
+// observable in rt/gc/ttsp_nanos; every attached thread's claim is
+// drained, including threads that attach and detach mid-run and threads
+// that exit without detaching; and the OOM-retry path in the object
 // factory returns null instead of rooting a dead allocation. Runs under
-// TSan in CI.
+// TSan, ASan and UBSan in CI.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +25,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -232,6 +235,112 @@ TEST(RtSafepoint, TtspRecordsLongCriticalHoldout) {
   EXPECT_EQ(Ttsp->Count, CountBefore + 1);
   EXPECT_GE(Ttsp->Sum - SumBefore, 5'000'000u)
       << "a ~10ms critical holdout must show up as >=5ms of ttsp";
+}
+
+// The per-thread handshake under attach churn: 32 attached threads loop
+// native calls whose bodies raise a per-thread "inside" flag, every fourth
+// thread detaches and re-attaches between calls, and a collector runs 500
+// pauses. No flag may be up inside any pause. A drain predicate that
+// skipped an attached thread would let that thread's body run on through
+// the pause; it shows when the skipped body outlasts the drain of the
+// others. So the churning threads, the likeliest to be missed by a list
+// that changes under the collector, run long bodies, and the rest short
+// ones.
+TEST(RtSafepoint, PauseDrainsEveryAttachedThreadUnderAttachChurn) {
+  Runtime RT(plainConfig());
+  constexpr unsigned kThreads = 32;
+  constexpr unsigned kPauses = 500;
+  std::vector<std::atomic<bool>> Inside(kThreads);
+  std::vector<std::atomic<uint64_t>> Bodies(kThreads);
+  std::atomic<bool> Stop{false};
+  std::atomic<unsigned> Running{0};
+  std::vector<std::thread> Mutators;
+  for (unsigned T = 0; T < kThreads; ++T)
+    Mutators.emplace_back([&, T] {
+      const bool Churns = T % 4 == 0;
+      JavaThread *Self = &RT.attachCurrentThread("mutator");
+      Running.fetch_add(1);
+      for (unsigned Call = 0; !Stop.load(); ++Call) {
+        callNative(*Self, NativeKind::Regular, "flagged", [&] {
+          Inside[T].store(true);
+          Bodies[T].fetch_add(1);
+          for (int Spin = 0; Spin < (Churns ? 32 : 2); ++Spin)
+            std::this_thread::yield();
+          Inside[T].store(false);
+          return 0;
+        });
+        if (Churns && Call % 8 == 7) {
+          RT.detachCurrentThread();
+          Self = &RT.attachCurrentThread("mutator");
+        }
+      }
+      RT.detachCurrentThread();
+    });
+  while (Running.load() != kThreads)
+    std::this_thread::yield();
+
+  unsigned PausesWithBodyInside = 0;
+  for (unsigned P = 0; P < kPauses; ++P) {
+    // Let every mutator back in between pauses: without this the
+    // collector re-pauses before most woken mutators get to run a body.
+    for (unsigned T = 0; T < kThreads; ++T)
+      for (uint64_t Seen = Bodies[T].load(); Bodies[T].load() == Seen;)
+        std::this_thread::yield();
+    RT.beginPause();
+    for (unsigned T = 0; T < kThreads; ++T)
+      if (Inside[T].load()) {
+        ++PausesWithBodyInside;
+        break;
+      }
+    RT.endPause();
+  }
+  Stop.store(true);
+  for (auto &Th : Mutators)
+    Th.join();
+  EXPECT_EQ(PausesWithBodyInside, 0u)
+      << "a native body ran inside a granted pause";
+}
+
+// A thread that exits while still attached unlinks itself at thread exit:
+// the next pause reads only live threads' claims (a stale entry would be a
+// read of freed memory, which ASan reports) and completes.
+TEST(RtSafepoint, ThreadExitWithoutDetachLeavesNoStaleClaim) {
+  Runtime RT(plainConfig());
+  std::thread Leaver([&] {
+    JavaThread &Self = RT.attachCurrentThread("leaver");
+    callNative(Self, NativeKind::Regular, "last_call", [] { return 0; });
+    // No detachCurrentThread(): the thread exits attached.
+  });
+  Leaver.join();
+  RT.gc().collect();
+  EXPECT_EQ(RT.gc().completedCycles(), 1u);
+}
+
+// A thread still attached when its runtime is destroyed must leave the
+// next runtime alone when it exits, even one built at the same address:
+// it recognises its runtime by identity, not by address.
+TEST(RtSafepoint, ThreadOutlivingItsRuntimeLeavesTheNextOneAlone) {
+  std::optional<Runtime> RT;
+  RT.emplace(plainConfig());
+  std::atomic<bool> Attached{false};
+  std::atomic<bool> Replaced{false};
+  std::thread Orphan([&] {
+    RT->attachCurrentThread("orphan");
+    Attached.store(true);
+    while (!Replaced.load())
+      std::this_thread::yield();
+    // Exits attached to a runtime that no longer exists.
+  });
+  while (!Attached.load())
+    std::this_thread::yield();
+  RT.reset();
+  RT.emplace(plainConfig()); // same storage, so the same address
+  RT->attachCurrentThread("main");
+  Replaced.store(true);
+  Orphan.join();
+  RT->gc().collect();
+  EXPECT_EQ(RT->gc().completedCycles(), 1u);
+  RT->detachCurrentThread();
 }
 
 // Regression: the OOM-retry path in the object factory used to root the
