@@ -52,9 +52,6 @@ enum class Scheme : uint8_t {
   GuardedCopy,
   Mte4JniSync,
   Mte4JniAsync,
-  /// Design ablation (not in the paper): HWASan-style tag-on-allocation
-  /// with synchronous checking — see core/AllocTagPolicy.h.
-  TagOnAllocSync,
 };
 
 const char *schemeName(Scheme S);
@@ -72,12 +69,12 @@ struct SessionConfig {
   /// Deferred tag-clear for the lock-free tag table: a single-holder
   /// Release leaves the granule tags resident (one CAS, no mutex, no STG
   /// loop) and the next Get of the same range is a pure CAS too. Tags are
-  /// reclaimed when the object is freed/swept (the session hooks
-  /// rt::JavaHeap's freed-range callback), when its slot is recycled, and
-  /// when the resident-bytes budget overflows. Off reproduces the paper's
-  /// exact Algorithm 2 (clear on last release) for the fig6/fig8 ablations
-  /// — note the tradeoff: deferral narrows use-after-release detection to
-  /// the post-reclaim window.
+  /// reclaimed when the object is freed, swept or moved (the session hooks
+  /// rt::JavaHeap's freed-range callback) and when the resident-bytes
+  /// budget overflows. Off reproduces the paper's exact Algorithm 2 (clear
+  /// on last release) for the fig6/fig8 ablations — note the tradeoff:
+  /// deferral narrows use-after-release detection to the post-reclaim
+  /// window.
   bool DeferredTagClear = true;
 
   uint64_t HeapBytes = 64ull << 20;

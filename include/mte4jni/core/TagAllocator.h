@@ -58,8 +58,6 @@ struct TagAllocatorOptions {
   /// to a power of two); entries beyond a full probe window spill into the
   /// shard's locked overflow map.
   unsigned SlotsPerShard = 2048;
-  /// Remove dead table entries (see TagAllocator constructor notes).
-  bool EraseDeadEntries = false;
   /// When generating a tag, exclude the current tags of the granules in
   /// a two-granule window around [begin, end) (two, because a one-granule
   /// object header separates payloads). The paper's IRG draw gives a 1/15
@@ -73,8 +71,8 @@ struct TagAllocatorOptions {
   /// the granule tags resident and flips the slot to the lingering state
   /// with one CAS — no shard mutex, no STG loop — and a re-acquire of the
   /// same range is a pure CAS too. Tags are reclaimed lazily: when the
-  /// object is freed or swept, when the slot is tombstoned/recycled, and
-  /// when the lingering budget overflows. Off = the paper's exact
+  /// object is freed, swept or moved, when the lingering budget overflows,
+  /// and on an explicit drain. Off = the paper's exact
   /// Algorithm 2 (clear on last release), which also maximises
   /// use-after-release detection — a lingering tag widens that window.
   bool DeferredTagClear = true;
@@ -103,14 +101,11 @@ struct TagAllocatorStats {
 
 class TagAllocator {
 public:
-  /// \p EraseDeadEntries: remove a table entry once its reference count
-  /// returns to zero. Algorithm 2 as published only clears the tags and
-  /// leaves the {referenceNum, mutexAddr} tuple in place for reuse, which
-  /// is also faster (no allocator churn per Get/Release pair); erasure is
-  /// available for callers that want the table trimmed.
+  /// Like Algorithm 2 as published, the table never erases an entry: the
+  /// last release clears the tags and leaves the {referenceNum,
+  /// mutexAddr} tuple in place for reuse.
   explicit TagAllocator(TagTableKind Kind = TagTableKind::LockFree,
-                        unsigned NumTables = 16,
-                        bool EraseDeadEntries = false);
+                        unsigned NumTables = 16);
 
   explicit TagAllocator(const TagAllocatorOptions &Options);
 
@@ -146,8 +141,8 @@ private:
   uint64_t acquireTwoTier(uint64_t Begin, uint64_t End);
   void releaseTwoTier(uint64_t Begin, uint64_t End);
   /// The lock-free slot lookup acquire and release share: the memo entry
-  /// when its slot still holds \p Begin, else TagTable::probeSlot (whose
-  /// hit is memoised). Null when the key is not in the slot array.
+  /// for \p Begin, else TagTable::probeSlot (whose hit is memoised). Null
+  /// when the key is not in the slot array.
   TagTable::Slot *findSlot(uint64_t Begin);
   uint64_t acquireLockFreeSlow(uint64_t Begin, uint64_t End,
                                support::FlightScope &Flight);
@@ -159,7 +154,6 @@ private:
   mte::TagValue generateAndApplyTag(uint64_t Begin, uint64_t End);
 
   TagTableKind Kind;
-  bool EraseDeadEntries;
   bool ExcludeAdjacentTags = false;
   bool DeferredTagClear = false;
   TagTable Table;

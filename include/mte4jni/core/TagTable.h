@@ -19,7 +19,7 @@
 ///     pure CASes too: the release leaves the granule tags resident and
 ///     reclamation happens lazily. Only the transitions that write tag
 ///     memory — the cold first holder, the exact last holder, reclaims —
-///     and inserts/erases take the shard mutex. Entries that overflow a
+///     and inserts take the shard mutex. Entries that overflow a
 ///     probe window spill into the shard's locked map, so capacity is
 ///     still unbounded.
 ///   * TagTableKind::TwoTierMutex: the paper's published design. Each
@@ -36,8 +36,12 @@
 ///
 /// Lock-free invariants (the reasoning behind the memory orders):
 ///
-///   * Slot keys only change under the shard mutex (insert claims an empty
-///     or tombstoned slot; erase tombstones). Fast paths only read keys.
+///   * Keys are written once: the insert that claims an empty slot (under
+///     the shard mutex) publishes the key, and the slot keeps it for the
+///     table's lifetime — Algorithm 2 clears the tags on the last release
+///     but keeps the {referenceNum, mutexAddr} tuple for reuse. A two-tier
+///     entry likewise lives as long as its map. Fast paths only read keys,
+///     so a slot found by probe or memo stays the key's slot.
 ///   * The cold refcount 0->1 transition happens under the shard mutex and
 ///     only *after* the granule tags are written, published by a release
 ///     store of the new state word (which also sets the resident bit). A
@@ -55,17 +59,20 @@
 ///     granule tags stay in place, so a later 0->1 re-acquire of the same
 ///     key is likewise a single CAS ("warm" acquire). Reclamation — CAS to
 ///     {0, resident=0} with an epoch bump, then clear the tags — happens
-///     under the shard mutex (tombstone/recycle, freed-object hooks,
-///     budget overflow, reclaimAllResident).
+///     under the shard mutex (freed-object hooks, budget overflow,
+///     reclaimAllResident).
 ///   * The epoch field increments on every transition that (re)writes tag
 ///     memory: the cold 0->1 first-holder store and the reclaim CAS. A
 ///     stalled compare-exchange therefore never succeeds across a
 ///     tags-changing cycle of the slot — the classic ABA guard. The warm
 ///     0<->1 cycle deliberately does NOT bump the epoch: while the
-///     resident bit stays set the key and the granule tags are provably
-///     unchanged (the key can only change after a reclaim, which bumps the
-///     epoch first), so a stalled warm CAS that succeeds is
-///     indistinguishable from a fresh warm acquire.
+///     resident bit stays set the granule tags are provably unchanged
+///     (only a reclaim clears them, and it bumps the epoch first), so a
+///     stalled warm CAS that succeeds is indistinguishable from a fresh
+///     warm acquire. Keys never change, but tags do: a reclaim followed
+///     by a new first holder and a deferred release brings back the same
+///     {0, resident} shape over different tags, and only the epoch tells
+///     the two apart.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,37 +110,29 @@ const char *tagTableKindName(TagTableKind Kind);
 /// are comparable across ablations:
 ///
 ///   * Lookups: every keyed operation that consults a shard under its
-///     table lock — lookupOrCreate, lookup, slotLocked and eraseIfDead
-///     each count exactly one. The lock-free CAS fast paths (and
-///     probeSlot) deliberately count nothing: they write nothing shared
-///     beyond the slot they touch.
+///     table lock — lookupOrCreate, lookup and slotLocked each count
+///     exactly one. The lock-free CAS fast paths (and probeSlot)
+///     deliberately count nothing: they write nothing shared beyond the
+///     slot they touch.
 ///   * Creates: one per new entry — a map emplace or a slot claim.
-///   * Erases: one per removed entry — a map erase or a slot tombstone.
 struct TagTableStats {
   uint64_t Lookups = 0;
   uint64_t Creates = 0;
-  uint64_t Erases = 0;
 };
 
 class TagTable {
 public:
   // ==== locked representation (TwoTierMutex / GlobalLock / overflow) ====
 
-  /// One (referenceNum, mutexAddr) tuple from Algorithm 1.
+  /// One (referenceNum, mutexAddr) tuple from Algorithm 1. Lives in its
+  /// shard's map until the table dies, so a reference to it stays valid
+  /// after the table lock is dropped.
   struct Entry {
     /// Written only under Mutex (the "object lock"); atomic so liveEntries
     /// can read it without taking every object lock.
     std::atomic<uint64_t> RefCount{0};
     std::mutex Mutex;
-    /// Set (under Mutex) by eraseIfDead when the entry leaves the map. An
-    /// acquirer that fetched the entry from the map before the erase but
-    /// locked it after must not resurrect it — the map no longer points
-    /// here, so a later release would see an orphan and leak the tags.
-    /// Such an acquirer retries lookupOrCreate instead.
-    bool Dead = false;
   };
-
-  using EntryRef = std::shared_ptr<Entry>;
 
   // ==== lock-free representation =======================================
 
@@ -156,11 +155,10 @@ public:
            (static_cast<uint64_t>(Resident) << 32) | Count;
   }
 
-  /// Sentinel keys. Payload begin addresses are real granule-aligned heap
-  /// pointers, so neither value can collide with a live key; addresses
-  /// that *would* collide are routed to the overflow map.
+  /// Key of an unclaimed slot. Payload begin addresses are real heap
+  /// pointers, so it cannot collide with a live key; an address that
+  /// *would* collide is routed to the overflow map.
   static constexpr uint64_t kEmptyKey = 0;
-  static constexpr uint64_t kTombstoneKey = ~0ull;
 
   /// One open-addressing slot, alone on its cache line so two hot objects
   /// never false-share.
@@ -199,18 +197,11 @@ public:
   // ==== locked API (all kinds; for LockFree this is the overflow map) ====
 
   /// Algorithm 1 step 2: lock the shard's table lock, retrieve or create
-  /// the entry for \p Begin, unlock. The returned shared_ptr keeps the
-  /// entry alive even if another thread erases it concurrently.
-  EntryRef lookupOrCreate(uint64_t Begin);
+  /// the entry for \p Begin, unlock.
+  Entry &lookupOrCreate(uint64_t Begin);
 
   /// Algorithm 2 step 2: retrieve without creating; null when absent.
-  EntryRef lookup(uint64_t Begin);
-
-  /// Erases the entry for \p Begin when its reference count is zero
-  /// (called after a release dropped the count to zero). Safe against a
-  /// concurrent acquire that resurrected the entry. Under LockFree this
-  /// tombstones the slot (or erases the overflow entry).
-  void eraseIfDead(uint64_t Begin);
+  Entry *lookup(uint64_t Begin);
 
   // ==== lock-free fast path ==============================================
 
@@ -222,16 +213,15 @@ public:
   /// The acquire fast path: increments the refcount iff the slot's tags
   /// are valid — refcount >= 1 (a concurrent holder) or refcount 0 with
   /// the resident bit set (a lingering deferred release; the "warm"
-  /// re-acquire) — and the slot still belongs to \p Begin. Returns false
-  /// when the caller must take the slow path (cold first holder, slot
-  /// recycled, or key mismatch). \p WasWarm is set iff this was a 0->1
-  /// re-acquire of a lingering slot. The CAS compares the full (epoch,
-  /// resident, count) word: any concurrent exact release-to-zero, reclaim
-  /// or slot reuse changes it, so success proves the tags stayed valid
-  /// for this key the whole time. No budget traffic: resident bytes are
-  /// charged once at first-holder publish and refunded when the tags are
-  /// actually cleared (exact release, reclaim, or slot recycle), so the
-  /// warm cycle is a single CAS.
+  /// re-acquire) — and the slot belongs to \p Begin. Returns false when
+  /// the caller must take the slow path (cold first holder or key
+  /// mismatch). \p WasWarm is set iff this was a 0->1 re-acquire of a
+  /// lingering slot. The CAS compares the full (epoch, resident, count)
+  /// word: any concurrent exact release-to-zero or reclaim changes it, so
+  /// success proves the tags stayed valid the whole time. No budget
+  /// traffic: resident bytes are charged once at first-holder publish and
+  /// refunded when the tags are actually cleared (exact release or
+  /// reclaim), so the warm cycle is a single CAS.
   bool acquireFast(Slot &S, uint64_t Begin, bool &WasWarm) {
     uint64_t St = S.State.load(std::memory_order_acquire);
     for (;;) {
@@ -307,12 +297,6 @@ public:
   Slot *slotLocked(uint64_t Begin, bool Create,
                    const std::unique_lock<std::mutex> &Lock);
 
-  /// Tombstones \p S so the slot can be reused for another key. Requires
-  /// the shard mutex; only valid at refcount zero. A lingering slot is
-  /// reclaimed first (tags cleared, epoch bumped) so the next tenant of
-  /// the slot can never expose the old tenant's tags.
-  void tombstoneLocked(Slot &S, const std::unique_lock<std::mutex> &Lock);
-
   // ==== deferred tag-clear reclamation ===================================
 
   struct ReclaimResult {
@@ -334,7 +318,7 @@ public:
 
   /// Total bytes whose granule tags are resident — held slots plus
   /// lingering ones. Charged at first-holder publish, refunded when the
-  /// tags are cleared (exact release, reclaim, slot recycle); the warm
+  /// tags are cleared (exact release or reclaim); the warm
   /// acquire/release cycle never touches it.
   uint64_t residentBytes() const;
   uint64_t residentBudgetBytes() const {
@@ -343,8 +327,7 @@ public:
 
   /// Budget bookkeeping for the slot slow paths (no-ops when deferral is
   /// off): the first holder charges its bytes when it publishes the tags;
-  /// the exact-clear release refunds them. Reclaim and tombstone refund
-  /// internally.
+  /// the exact-clear release refunds them. Reclaim refunds internally.
   void chargeResident(uint64_t Begin, uint64_t Bytes) {
     if (ShardResidentBudget != 0)
       residentBytesOf(Begin).fetch_add(Bytes, std::memory_order_relaxed);
@@ -362,8 +345,7 @@ public:
   /// Entries that hold at least one reference or resident tags: map
   /// entries at RefCount > 0 plus (under LockFree) slots at refcount > 0
   /// or lingering. This is the count that agrees across TagTableKinds for
-  /// the same workload — a released-but-not-erased tuple is occupancy, not
-  /// liveness.
+  /// the same workload — a released tuple is occupancy, not liveness.
   size_t liveEntries() const;
 
   /// Structural occupancy: every map entry plus every claimed slot,
@@ -377,13 +359,14 @@ private:
   struct Shard {
     mutable std::mutex TableLock;
     /// TwoTierMutex/GlobalLock: every entry. LockFree: overflow only.
-    std::unordered_map<uint64_t, EntryRef> Map;
+    /// Node-based, so an Entry never moves once emplaced.
+    std::unordered_map<uint64_t, Entry> Map;
     TagTableStats Stats;
     /// LockFree only; null otherwise.
     std::unique_ptr<Slot[]> Slots;
     /// Bytes with resident tags in this shard, held or lingering: charged
     /// by the first holder's publish (slow path), refunded when the tags
-    /// are cleared (exact release, reclaim, tombstone) — so the fast
+    /// are cleared (exact release or reclaim) — so the fast
     /// paths only ever *read* it. Per-shard so the deferred release fast
     /// path never contends on a global counter; the budget check is
     /// therefore per-shard too (total budget / NumTables each).
@@ -397,7 +380,7 @@ private:
   /// Clears the lingering tags of \p S if it is in the {refcount=0,
   /// resident=1} state; returns the bytes untagged (0 when the slot was
   /// held, resurrected mid-CAS, or not resident). Requires the shard
-  /// mutex (keys only change under it, so the Key read is stable).
+  /// mutex, which orders it against the first holder's tag writes.
   uint64_t reclaimSlotLocked(Shard &Sh, Slot &S);
 
   /// Home position of \p Begin inside its shard's slot array.

@@ -150,11 +150,12 @@ public:
   /// only slot cache. A Release on the thread that ran the Get, and the
   /// next Get of the same range, skip the table probe and go straight to
   /// the slot CAS; a miss (another thread, or an evicted entry) costs one
-  /// probe. Entries are hints, never trusted: the caller checks the slot
-  /// still holds the key and revalidates via the slot's (epoch, resident,
-  /// refcount) CAS, and \p Owner is the allocator's never-reused identity
-  /// so a destroyed allocator's entries can never validate. Stored as
-  /// void* to keep this layer ignorant of core::TagTable.
+  /// probe. A hit is the key's slot: a tag-table slot keeps its key for
+  /// the table's lifetime, and \p Owner is the allocator's never-reused
+  /// identity so a destroyed allocator's entries can never validate. The
+  /// slot's (epoch, resident, refcount) CAS still decides whether its tags
+  /// are valid. Stored as void* to keep this layer ignorant of
+  /// core::TagTable.
   static constexpr unsigned kTagSlotMemoSize = 16;
   M4J_ALWAYS_INLINE void *tagSlotMemoLookup(uint64_t Owner,
                                             uint64_t Key) const {

@@ -20,9 +20,7 @@
 ///
 ///   * The common alloc is a bump-pointer increment in the calling
 ///     thread's TLAB — no lock, no shared cache line. TLABs are carved
-///     from the arena under a short-held refill mutex and, under
-///     TagOnAlloc, bulk-cleaned with ONE st2g-style tag-range write per
-///     refill so per-object colouring never pays a stale-tag scrub.
+///     from the arena under a short-held refill mutex.
 ///   * Free lists are sharded by the thread's exclusive metrics shard and
 ///     indexed by size class (direct array up to 256 classes, map beyond),
 ///     so reuse after a same-thread free or GC sweep stays O(1) under an
@@ -60,12 +58,6 @@ struct HeapConfig {
   unsigned Alignment = 8;
   /// Register the arena as a PROT_MTE region with the MTE simulator.
   bool ProtMte = false;
-  /// Design ablation (see core/AllocTagPolicy.h): give every object a
-  /// random tag at allocation time and clear it when the object is
-  /// freed, instead of tagging at the JNI boundary. Requires ProtMte and
-  /// 16-byte alignment. Compatible with the compacting GC: compact()
-  /// migrates allocation colours with moved objects.
-  bool TagOnAlloc = false;
 };
 
 struct HeapStats {
@@ -130,11 +122,9 @@ public:
 
   /// Mark-compact support: slides live objects toward the heap base in
   /// address order, skipping pinned objects (which stay exactly where
-  /// native code's raw pointers expect them). Under TagOnAlloc the
-  /// allocation colours migrate with the payload (old granules cleared,
-  /// new granules retagged). Returns the mapping of moved objects (old
-  /// header -> new header); the caller (the GC) must update every root.
-  /// The world must be paused.
+  /// native code's raw pointers expect them). Returns the mapping of
+  /// moved objects (old header -> new header); the caller (the GC) must
+  /// update every root. The world must be paused.
   std::vector<std::pair<ObjectHeader *, ObjectHeader *>> compact();
 
   bool contains(const void *Ptr) const {
@@ -218,10 +208,9 @@ private:
   ObjectHeader *allocObject(uint32_t ClassWord, uint32_t Length,
                             uint64_t PayloadBytes);
 
-  /// Refill-lock slow path: TLAB refill (bulk tag scrub under TagOnAlloc),
-  /// direct carve for big objects and overflow-shard threads, then
-  /// cross-shard free-list stealing. Sets \p FreeListHit when the block
-  /// came from a (stolen) free list.
+  /// Refill-lock slow path: TLAB refill, direct carve for big objects and
+  /// overflow-shard threads, then cross-shard free-list stealing. Sets
+  /// \p FreeListHit when the block came from a (stolen) free list.
   uint64_t allocSlow(uint64_t Size, unsigned Shard, bool &FreeListHit);
 
   /// Pops an exact-size block from \p FS; 0 when none. Takes FS.Lock.

@@ -65,7 +65,8 @@ private:
   bool ShuttingDown = false;
 };
 
-/// Hardware concurrency, never zero.
+/// CPUs the calling thread may run on (its affinity mask on Linux, else
+/// std::thread::hardware_concurrency()), never zero.
 size_t hardwareThreads();
 
 } // namespace mte4jni::support

@@ -82,10 +82,9 @@ enum class FlightKind : uint8_t {
 /// TagAcquire/TagRelease flight events (offset by 1; outcome 0 = fast).
 /// This is the taxonomy that attributes the ROADMAP's acquire_fast = 0.
 enum class TagSlowReason : uint8_t {
-  SlotCold = 0,   ///< key not in the slot array: first acquire, or tombstoned
+  SlotCold = 0,   ///< key not in the slot array: first acquire, or spilled
   FirstHolder,    ///< refcount 0 -> 1: tagging memory must serialize on the shard
   LastHolder,     ///< refcount 1 -> 0: clearing tags must serialize on the shard
-  SlotRecycled,   ///< probe hit a slot reused for a different range
   ShardLockWait,  ///< the slow path had to wait for the shard mutex (two
                   ///< try-lock probes failed before blocking) — not merely
                   ///< "held at probe time"

@@ -7,7 +7,6 @@
 
 #include "mte4jni/api/Session.h"
 
-#include "mte4jni/core/AllocTagPolicy.h"
 #include "mte4jni/mte/MteSystem.h"
 #include "mte4jni/support/StringUtils.h"
 
@@ -25,8 +24,6 @@ const char *schemeName(Scheme S) {
     return "mte4jni+sync";
   case Scheme::Mte4JniAsync:
     return "mte4jni+async";
-  case Scheme::TagOnAllocSync:
-    return "tag-on-alloc+sync";
   }
   return "?";
 }
@@ -37,8 +34,7 @@ Session::Session(const SessionConfig &Config) : Config(Config) {
   support::obs::setMode(Config.TraceMode);
 
   const bool IsMte = Config.Protection == Scheme::Mte4JniSync ||
-                     Config.Protection == Scheme::Mte4JniAsync ||
-                     Config.Protection == Scheme::TagOnAllocSync;
+                     Config.Protection == Scheme::Mte4JniAsync;
 
   rt::RuntimeConfig RC;
   RC.Heap.CapacityBytes = Config.HeapBytes;
@@ -47,13 +43,11 @@ Session::Session(const SessionConfig &Config) : Config(Config) {
   RC.Heap.Alignment =
       Config.HeapAlignment ? Config.HeapAlignment : (IsMte ? 16u : 8u);
   RC.Heap.ProtMte = IsMte;
-  RC.CheckMode = Config.Protection == Scheme::Mte4JniSync ||
-                         Config.Protection == Scheme::TagOnAllocSync
+  RC.CheckMode = Config.Protection == Scheme::Mte4JniSync
                      ? mte::CheckMode::Sync
                      : (Config.Protection == Scheme::Mte4JniAsync
                             ? mte::CheckMode::Async
                             : mte::CheckMode::None);
-  RC.Heap.TagOnAlloc = Config.Protection == Scheme::TagOnAllocSync;
   RC.TagChecksInNative = IsMte;
   RC.Gc.BackgroundThread = Config.BackgroundGc;
   RC.Gc.IntervalMillis = Config.GcIntervalMillis;
@@ -75,9 +69,6 @@ Session::Session(const SessionConfig &Config) : Config(Config) {
     Policy = std::move(P);
     break;
   }
-  case Scheme::TagOnAllocSync:
-    Policy = std::make_unique<core::AllocTagPolicy>();
-    break;
   case Scheme::Mte4JniSync:
   case Scheme::Mte4JniAsync: {
     core::TagAllocatorOptions AO;

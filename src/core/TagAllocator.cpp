@@ -145,29 +145,22 @@ uint8_t initialFlightOutcome(core::TagTableKind Kind) {
 }
 
 /// Why did the acquire fast path fail? \p S is the slot the fast path
-/// looked at, null when the lookup found none. The observation is racy but
-/// statistically faithful — attribution counters are about distributions,
-/// not per-op exactness.
-support::TagSlowReason classifyAcquireSlow(core::TagTable::Slot *S,
-                                           uint64_t Begin) {
-  if (S == nullptr)
-    return support::TagSlowReason::SlotCold;
-  if (S->Key.load(std::memory_order_relaxed) != Begin)
-    return support::TagSlowReason::SlotRecycled;
-  // Matching key: the fast path saw refcount 0. A count resurrected by a
-  // racing acquirer since then still entered the slow path as a first
-  // holder.
-  return support::TagSlowReason::FirstHolder;
+/// looked at, null when the lookup found none. A found slot holds the
+/// key (keys never change), so the fast path saw refcount 0; a count
+/// resurrected by a racing acquirer since then still entered the slow
+/// path as a first holder.
+support::TagSlowReason classifyAcquireSlow(core::TagTable::Slot *S) {
+  return S == nullptr ? support::TagSlowReason::SlotCold
+                      : support::TagSlowReason::FirstHolder;
 }
 
 /// Why did the release fast path fail? \p S is the slot the fast path
-/// looked at, null when the lookup found none.
-support::TagSlowReason classifyReleaseSlow(core::TagTable::Slot *S,
-                                           uint64_t Begin) {
+/// looked at, null when the lookup found none. The observation is racy but
+/// statistically faithful — attribution counters are about distributions,
+/// not per-op exactness.
+support::TagSlowReason classifyReleaseSlow(core::TagTable::Slot *S) {
   if (S == nullptr)
     return support::TagSlowReason::SlotCold;
-  if (S->Key.load(std::memory_order_relaxed) != Begin)
-    return support::TagSlowReason::SlotRecycled;
   uint64_t St = S->State.load(std::memory_order_relaxed);
   uint32_t Count = core::TagTable::refCountOf(St);
   if (Count == 0)
@@ -187,19 +180,16 @@ std::atomic<uint64_t> NextMemoOwnerId{1};
 
 } // namespace
 
-TagAllocator::TagAllocator(TagTableKind Kind, unsigned NumTables,
-                           bool EraseDeadEntries)
+TagAllocator::TagAllocator(TagTableKind Kind, unsigned NumTables)
     : TagAllocator([&] {
         TagAllocatorOptions Options;
         Options.Locks = Kind;
         Options.NumTables = NumTables;
-        Options.EraseDeadEntries = EraseDeadEntries;
         return Options;
       }()) {}
 
 TagAllocator::TagAllocator(const TagAllocatorOptions &Options)
-    : Kind(Options.Locks), EraseDeadEntries(Options.EraseDeadEntries),
-      ExcludeAdjacentTags(Options.ExcludeAdjacentTags),
+    : Kind(Options.Locks), ExcludeAdjacentTags(Options.ExcludeAdjacentTags),
       DeferredTagClear(Options.Locks == TagTableKind::LockFree &&
                        residentBudgetOf(Options) > 0),
       Table(Options.NumTables, Options.Locks, Options.SlotsPerShard,
@@ -249,12 +239,13 @@ mte::TagValue TagAllocator::generateAndApplyTag(uint64_t Begin,
 }
 
 TagTable::Slot *TagAllocator::findSlot(uint64_t Begin) {
-  // The memo is only ever a hint: a hit still goes through the slot's
-  // (epoch, resident, refcount) CAS, which revalidates key and state.
+  // A memo hit is this allocator's slot for Begin: slots keep their keys
+  // and MemoOwnerId is never reused. The slot's (epoch, resident,
+  // refcount) CAS still decides whether its tags are valid.
   mte::ThreadState &TS = mte::ThreadState::current();
   auto *S =
       static_cast<TagTable::Slot *>(TS.tagSlotMemoLookup(MemoOwnerId, Begin));
-  if (S != nullptr && S->Key.load(std::memory_order_relaxed) == Begin)
+  if (S != nullptr)
     return S;
   S = Table.probeSlot(Begin);
   if (S != nullptr)
@@ -279,7 +270,7 @@ uint64_t TagAllocator::acquire(uint64_t Begin, uint64_t End) {
     TagTable::Slot *S = findSlot(Begin);
     if (S == nullptr || !Table.acquireFast(*S, Begin, Warm)) {
       allocMetrics().LfAcquireSlow.add();
-      countSlowReason(classifyAcquireSlow(S, Begin), &Flight);
+      countSlowReason(classifyAcquireSlow(S), &Flight);
       return acquireLockFreeSlow(Begin, End, Flight);
     }
     Stats.TagsShared.add();
@@ -365,20 +356,14 @@ uint64_t TagAllocator::acquireLockFreeSlow(uint64_t Begin, uint64_t End,
 
 uint64_t TagAllocator::acquireTwoTier(uint64_t Begin, uint64_t End) {
   // Steps 1-2: shard by (begin/16) mod k; retrieve or create the
-  // {referenceNum, mutexAddr} tuple under the table lock. Retry when the
-  // entry died between the map lookup and taking its lock (a concurrent
-  // eraseIfDead): resurrecting an erased entry would strand the refcount
-  // where no release can ever find it.
-  mte::TagValue Tag;
-  for (;;) {
-    TagTable::EntryRef Entry = Table.lookupOrCreate(Begin);
+  // {referenceNum, mutexAddr} tuple under the table lock.
+  TagTable::Entry &Entry = Table.lookupOrCreate(Begin);
 
-    // Step 3: under the object lock, bump the count and pick the tag.
-    std::lock_guard<std::mutex> ObjGuard(Entry->Mutex);
-    if (Entry->Dead)
-      continue;
-    ++Entry->RefCount;
-    if (Entry->RefCount > 1) {
+  // Step 3: under the object lock, bump the count and pick the tag.
+  mte::TagValue Tag;
+  {
+    std::lock_guard<std::mutex> ObjGuard(Entry.Mutex);
+    if (++Entry.RefCount > 1) {
       // Another native thread already tagged this object: share its tag
       // by loading it back with LDG.
       Tag = mte::ldgTag(Begin);
@@ -387,7 +372,6 @@ uint64_t TagAllocator::acquireTwoTier(uint64_t Begin, uint64_t End) {
     } else {
       Tag = generateAndApplyTag(Begin, End);
     }
-    break;
   }
 
   // Step 4: the tagged pointer.
@@ -419,7 +403,7 @@ void TagAllocator::release(uint64_t Begin, uint64_t End) {
     if (OverBudget)
       countSlowReason(support::TagSlowReason::DeferredReclaim, &Flight);
     else
-      countSlowReason(classifyReleaseSlow(S, Begin), &Flight);
+      countSlowReason(classifyReleaseSlow(S), &Flight);
     releaseLockFreeSlow(Begin, End, Flight);
     return;
   }
@@ -480,8 +464,6 @@ void TagAllocator::releaseLockFreeSlow(uint64_t Begin, uint64_t End,
           Table.unchargeResident(Begin, End - Begin);
           Stats.TagsCleared.add();
           allocMetrics().TagsCleared.add();
-          if (EraseDeadEntries)
-            Table.tombstoneLocked(*S, Lock);
           return;
         }
       }
@@ -496,7 +478,7 @@ void TagAllocator::releaseLockFreeSlow(uint64_t Begin, uint64_t End,
 void TagAllocator::releaseTwoTier(uint64_t Begin, uint64_t End) {
   // Steps 1-2: find the entry; nothing to do when absent (release of an
   // object no Get interface tagged).
-  TagTable::EntryRef Entry = Table.lookup(Begin);
+  TagTable::Entry *Entry = Table.lookup(Begin);
   if (!Entry) {
     Stats.OrphanReleases.add();
     allocMetrics().OrphanReleases.add();
@@ -505,26 +487,19 @@ void TagAllocator::releaseTwoTier(uint64_t Begin, uint64_t End) {
 
   // Step 3: drop the count; the last holder clears the memory tags so the
   // tag becomes available again and dangling tagged pointers fault.
-  bool ClearedToZero = false;
-  {
-    std::lock_guard<std::mutex> ObjGuard(Entry->Mutex);
-    if (Entry->RefCount == 0) {
-      // Already released (double release); tolerated like the paper's
-      // "nothing needs to be done" path.
-      Stats.OrphanReleases.add();
-      allocMetrics().OrphanReleases.add();
-      return;
-    }
-    --Entry->RefCount;
-    if (Entry->RefCount == 0) {
-      mte::clearTagRange(Begin, End - Begin);
-      Stats.TagsCleared.add();
-      allocMetrics().TagsCleared.add();
-      ClearedToZero = true;
-    }
+  std::lock_guard<std::mutex> ObjGuard(Entry->Mutex);
+  if (Entry->RefCount == 0) {
+    // Already released (double release); tolerated like the paper's
+    // "nothing needs to be done" path.
+    Stats.OrphanReleases.add();
+    allocMetrics().OrphanReleases.add();
+    return;
   }
-  if (ClearedToZero && EraseDeadEntries)
-    Table.eraseIfDead(Begin);
+  if (--Entry->RefCount == 0) {
+    mte::clearTagRange(Begin, End - Begin);
+    Stats.TagsCleared.add();
+    allocMetrics().TagsCleared.add();
+  }
 }
 
 bool TagAllocator::reclaimRange(uint64_t Begin, uint64_t End) {

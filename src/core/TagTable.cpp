@@ -53,75 +53,26 @@ TagTable::TagTable(unsigned NumTables, TagTableKind Kind,
   }
 }
 
-TagTable::EntryRef TagTable::lookupOrCreate(uint64_t Begin) {
+TagTable::Entry &TagTable::lookupOrCreate(uint64_t Begin) {
   Shard &S = *Shards[shardIndexOf(Begin)];
   std::lock_guard<std::mutex> TableGuard(S.TableLock);
   ++S.Stats.Lookups;
-  auto It = S.Map.find(Begin);
-  if (It != S.Map.end())
-    return It->second;
-  ++S.Stats.Creates;
-  auto E = std::make_shared<Entry>();
-  S.Map.emplace(Begin, E);
-  return E;
+  auto [It, Created] = S.Map.try_emplace(Begin);
+  if (Created)
+    ++S.Stats.Creates;
+  return It->second;
 }
 
-TagTable::EntryRef TagTable::lookup(uint64_t Begin) {
+TagTable::Entry *TagTable::lookup(uint64_t Begin) {
   Shard &S = *Shards[shardIndexOf(Begin)];
   std::lock_guard<std::mutex> TableGuard(S.TableLock);
   ++S.Stats.Lookups;
   auto It = S.Map.find(Begin);
-  return It != S.Map.end() ? It->second : nullptr;
-}
-
-void TagTable::eraseIfDead(uint64_t Begin) {
-  Shard &S = *Shards[shardIndexOf(Begin)];
-  std::lock_guard<std::mutex> TableGuard(S.TableLock);
-  // Accounting rule (see TagTableStats): every keyed slow-path operation
-  // counts one Lookup, whichever representation the key lives in.
-  ++S.Stats.Lookups;
-  if (S.Slots && Begin != kEmptyKey && Begin != kTombstoneKey) {
-    size_t Home = slotHomeOf(Begin);
-    for (unsigned I = 0; I < kProbeWindow; ++I) {
-      Slot &Candidate = S.Slots[(Home + I) & SlotMask];
-      uint64_t Key = Candidate.Key.load(std::memory_order_relaxed);
-      if (Key == kEmptyKey)
-        break;
-      if (Key != Begin)
-        continue;
-      // A lingering slot must give its tags back before the key dies —
-      // the reclaim CAS also bumps the epoch so stalled warm acquires
-      // for this key can never land.
-      reclaimSlotLocked(S, Candidate);
-      if (refCountOf(Candidate.State.load(std::memory_order_acquire)) == 0) {
-        ++S.Stats.Erases;
-        Candidate.Key.store(kTombstoneKey, std::memory_order_release);
-      }
-      return;
-    }
-  }
-  auto It = S.Map.find(Begin);
-  if (It == S.Map.end())
-    return;
-  // Entry lock ordering: table lock is held; a concurrent acquirer that
-  // already fetched this entry holds (or will take) the object lock, so we
-  // must check the count under it. Keep a local reference across the
-  // erase — dropping the map's shared_ptr may destroy the Entry, and its
-  // mutex must stay alive until the guard unlocks it.
-  EntryRef Keep = It->second;
-  std::lock_guard<std::mutex> ObjGuard(Keep->Mutex);
-  if (Keep->RefCount == 0) {
-    // Mark dead under the object lock so an acquirer that fetched this
-    // entry before the erase (and will lock it after) retries instead of
-    // resurrecting an entry the map no longer reaches.
-    Keep->Dead = true;
-    ++S.Stats.Erases;
-    S.Map.erase(It);
-  }
+  return It != S.Map.end() ? &It->second : nullptr;
 }
 
 TagTable::Slot *TagTable::probeSlot(uint64_t Begin) {
-  if (!SlotMask || Begin == kEmptyKey || Begin == kTombstoneKey)
+  if (!SlotMask || Begin == kEmptyKey)
     return nullptr;
   Shard &S = *Shards[shardIndexOf(Begin)];
   size_t Home = slotHomeOf(Begin);
@@ -130,9 +81,9 @@ TagTable::Slot *TagTable::probeSlot(uint64_t Begin) {
     uint64_t Key = Candidate.Key.load(std::memory_order_acquire);
     if (Key == Begin)
       return &Candidate;
-    // Inserts claim the first reusable slot of the window and tombstones
-    // never revert to empty, so a key is always located before the first
-    // empty slot of its window.
+    // Inserts claim the first empty slot of the window and a claimed slot
+    // keeps its key, so a key is always located before the first empty
+    // slot of its window.
     if (Key == kEmptyKey)
       return nullptr;
   }
@@ -161,49 +112,29 @@ std::unique_lock<std::mutex> TagTable::lockShard(uint64_t Begin,
 TagTable::Slot *TagTable::slotLocked(uint64_t Begin, bool Create,
                                      const std::unique_lock<std::mutex> &Lock) {
   M4J_ASSERT(Lock.owns_lock(), "shard mutex not held");
-  if (!SlotMask || Begin == kEmptyKey || Begin == kTombstoneKey)
+  if (!SlotMask || Begin == kEmptyKey)
     return nullptr;
   Shard &S = *Shards[shardIndexOf(Begin)];
   ++S.Stats.Lookups;
   size_t Home = slotHomeOf(Begin);
-  Slot *Reusable = nullptr;
   for (unsigned I = 0; I < kProbeWindow; ++I) {
     Slot &Candidate = S.Slots[(Home + I) & SlotMask];
     uint64_t Key = Candidate.Key.load(std::memory_order_relaxed);
     if (Key == Begin)
       return &Candidate;
-    if (!Reusable && (Key == kEmptyKey || Key == kTombstoneKey))
-      Reusable = &Candidate;
-    if (Key == kEmptyKey)
-      break; // keys never live past the first empty slot
+    if (Key != kEmptyKey)
+      continue;
+    if (!Create)
+      return nullptr;
+    // A key that spilled to the overflow map found its whole window
+    // claimed, and claimed slots stay claimed, so it never reaches here:
+    // one object cannot end up with two reference counts.
+    ++S.Stats.Creates;
+    // Release-publish the key so lock-free probes see a claimed slot.
+    Candidate.Key.store(Begin, std::memory_order_release);
+    return &Candidate;
   }
-  if (!Create)
-    return nullptr;
-  // If the key already spilled to the overflow map, keep using that entry:
-  // claiming a slot now would give the same object two reference counts
-  // (and the new holder a fresh tag while map holders still use the old).
-  if (!Reusable || S.Map.find(Begin) != S.Map.end())
-    return nullptr;
-  ++S.Stats.Creates;
-  // State (and its epoch) survives from the slot's previous tenant, which
-  // is exactly what the ABA guard needs; the key is published with release
-  // so lock-free probes see a fully claimed slot.
-  Reusable->Key.store(Begin, std::memory_order_release);
-  return Reusable;
-}
-
-void TagTable::tombstoneLocked(Slot &S,
-                               const std::unique_lock<std::mutex> &Lock) {
-  M4J_ASSERT(Lock.owns_lock(), "shard mutex not held");
-  Shard &Owner = *Shards[shardIndexOf(S.Key.load(std::memory_order_relaxed))];
-  // Reclaim before the key changes: the next tenant must never inherit
-  // resident tags, and the epoch bump kills stalled warm CASes for the
-  // old key.
-  reclaimSlotLocked(Owner, S);
-  M4J_ASSERT(refCountOf(S.State.load(std::memory_order_relaxed)) == 0,
-             "tombstoning a live slot");
-  ++Owner.Stats.Erases;
-  S.Key.store(kTombstoneKey, std::memory_order_release);
+  return nullptr;
 }
 
 uint64_t TagTable::reclaimSlotLocked(Shard &Sh, Slot &S) {
@@ -233,7 +164,7 @@ uint64_t TagTable::reclaimSlotLocked(Shard &Sh, Slot &S) {
 
 TagTable::ReclaimResult TagTable::reclaimKey(uint64_t Begin) {
   ReclaimResult R;
-  if (!SlotMask || Begin == kEmptyKey || Begin == kTombstoneKey)
+  if (!SlotMask || Begin == kEmptyKey)
     return R;
   // Cheap lock-free pre-check: most freed objects were never pinned (no
   // slot) or were released exactly (not resident). Only a genuine
@@ -262,8 +193,7 @@ TagTable::ReclaimResult TagTable::reclaimAllResident() {
       continue;
     std::lock_guard<std::mutex> Guard(Sh->TableLock);
     for (size_t I = 0; I <= SlotMask; ++I) {
-      uint64_t Key = Sh->Slots[I].Key.load(std::memory_order_relaxed);
-      if (Key == kEmptyKey || Key == kTombstoneKey)
+      if (Sh->Slots[I].Key.load(std::memory_order_relaxed) == kEmptyKey)
         continue;
       uint64_t Bytes = reclaimSlotLocked(*Sh, Sh->Slots[I]);
       if (Bytes > 0) {
@@ -287,12 +217,11 @@ size_t TagTable::liveEntries() const {
   for (const auto &S : Shards) {
     std::lock_guard<std::mutex> Guard(S->TableLock);
     for (const auto &[Key, Entry] : S->Map)
-      if (Entry->RefCount.load(std::memory_order_relaxed) > 0)
+      if (Entry.RefCount.load(std::memory_order_relaxed) > 0)
         ++Total;
     if (S->Slots)
       for (size_t I = 0; I <= SlotMask; ++I) {
-        uint64_t Key = S->Slots[I].Key.load(std::memory_order_relaxed);
-        if (Key == kEmptyKey || Key == kTombstoneKey)
+        if (S->Slots[I].Key.load(std::memory_order_relaxed) == kEmptyKey)
           continue;
         uint64_t St = S->Slots[I].State.load(std::memory_order_relaxed);
         // refcount > 0: held. refcount 0 + resident: lingering (tags
@@ -313,11 +242,9 @@ size_t TagTable::occupiedEntries() const {
     std::lock_guard<std::mutex> Guard(S->TableLock);
     Total += S->Map.size();
     if (S->Slots)
-      for (size_t I = 0; I <= SlotMask; ++I) {
-        uint64_t Key = S->Slots[I].Key.load(std::memory_order_relaxed);
-        if (Key != kEmptyKey && Key != kTombstoneKey)
+      for (size_t I = 0; I <= SlotMask; ++I)
+        if (S->Slots[I].Key.load(std::memory_order_relaxed) != kEmptyKey)
           ++Total;
-      }
   }
   return Total;
 }
@@ -328,7 +255,6 @@ TagTableStats TagTable::stats() const {
     std::lock_guard<std::mutex> Guard(S->TableLock);
     Total.Lookups += S->Stats.Lookups;
     Total.Creates += S->Stats.Creates;
-    Total.Erases += S->Stats.Erases;
   }
   return Total;
 }

@@ -7,7 +7,6 @@
 
 #include "mte4jni/rt/Heap.h"
 
-#include "mte4jni/mte/Instructions.h"
 #include "mte4jni/mte/MteSystem.h"
 #include "mte4jni/mte/Tag.h"
 #include "mte4jni/support/TraceRing.h"
@@ -59,9 +58,6 @@ HeapMetrics &heapMetrics() {
 JavaHeap::JavaHeap(const HeapConfig &Config) : Config(Config) {
   M4J_ASSERT(Config.Alignment == 8 || Config.Alignment == 16,
              "heap alignment must be 8 (stock ART) or 16 (MTE4JNI)");
-  M4J_ASSERT(!Config.TagOnAlloc ||
-                 (Config.ProtMte && Config.Alignment == 16),
-             "TagOnAlloc requires a PROT_MTE heap with 16-byte alignment");
   this->Config.CapacityBytes =
       support::alignTo(Config.CapacityBytes, mte::kGranuleSize);
   Storage.reset(new uint8_t[this->Config.CapacityBytes + mte::kGranuleSize]);
@@ -189,15 +185,6 @@ uint64_t JavaHeap::allocSlow(uint64_t Size, unsigned Shard,
             support::FlightKind::TlabRefill, 0,
             static_cast<uint32_t>(TlabEnd - TlabStart),
             support::monotonicNanos(), 0);
-      // Bulk-scrub the whole buffer's colours in ONE st2g-style range
-      // write, so per-object tagging from this TLAB never pays a
-      // stale-tag cleanup (allocation-time tag cost amortises over the
-      // refill, cf. the batching result in PAPERS.md). With the
-      // two-level store this also publishes Uniform(0) summaries for
-      // every line the TLAB covers in O(lines), which is what keeps
-      // later bulk checks over fresh buffers on the summary fast path.
-      if (Config.TagOnAlloc)
-        mte::clearTagRange(TlabStart, TlabEnd - TlabStart);
       Tlab &T = Tlabs[Shard];
       T.Cur.store(TlabStart + Size, std::memory_order_relaxed);
       T.End.store(TlabEnd, std::memory_order_relaxed);
@@ -280,14 +267,6 @@ ObjectHeader *JavaHeap::allocObject(uint32_t ClassWord, uint32_t Length,
   Obj->Flags = 0;
   std::memset(Obj->data(), 0, Size - sizeof(ObjectHeader));
 
-  // Tag-on-allocation ablation: colour the payload now, once, for the
-  // object's whole lifetime. Lock-free: the block is thread-exclusive
-  // until the liveness bit below publishes it.
-  if (Config.TagOnAlloc && Size > sizeof(ObjectHeader)) {
-    auto Tagged = mte::irg(mte::TaggedPtr<void>::fromRaw(Obj->data(), 0));
-    mte::setTagRange(Tagged, Size - sizeof(ObjectHeader));
-  }
-
   // Publish: release so a lock-free isLiveObject/forEachObject that sees
   // the bit also sees the initialised header.
   setLiveBit(Addr, std::memory_order_release);
@@ -334,8 +313,6 @@ void JavaHeap::free(ObjectHeader *Obj) {
   statAdd(St.ObjectsLive, -1, Shard);
   statAdd(St.ObjectsFreed, 1, Shard);
 
-  if (Config.TagOnAlloc && Size > sizeof(ObjectHeader))
-    mte::clearTagRange(Obj->dataAddress(), Size - sizeof(ObjectHeader));
   // A dead object must not keep valid granule tags: give the tag
   // allocator its chance to reclaim a deferred (lingering) tag-clear.
   notifyFreedRange(Obj, Size);
@@ -389,15 +366,6 @@ std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
       Final.push_back(Obj);
       continue;
     }
-    // Under TagOnAlloc the allocation colour must travel with the payload:
-    // read it before the slide, erase the old granules, repaint the new
-    // payload (the header granule stays tag 0). Slide targets never
-    // overlap a later source, so the erase cannot hit the new location of
-    // a previously moved object.
-    mte::TagValue Tag = 0;
-    bool HasPayload = Size > sizeof(ObjectHeader);
-    if (Config.TagOnAlloc && HasPayload)
-      Tag = mte::ldgTag(Obj->dataAddress());
     // The object leaves this address: reclaim any lingering JNI tag on
     // the old payload before fresh allocations land here, or they would
     // start life with a valid-looking foreign tag. (Pinned objects never
@@ -405,12 +373,6 @@ std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
     notifyFreedRange(Obj, Size);
     std::memmove(reinterpret_cast<void *>(Target), Obj, Size);
     auto *NewObj = reinterpret_cast<ObjectHeader *>(Target);
-    if (Config.TagOnAlloc && HasPayload) {
-      mte::clearTagRange(reinterpret_cast<uint64_t>(Obj), Size);
-      mte::setTagRange(
-          mte::TaggedPtr<void>::fromRaw(NewObj->data(), Tag),
-          Size - sizeof(ObjectHeader));
-    }
     Moved.emplace_back(Obj, NewObj);
     Final.push_back(NewObj);
     Cursor = Target + Size;

@@ -14,6 +14,10 @@
 #include <condition_variable>
 #include <string>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace mte4jni::support {
 
 namespace {
@@ -24,6 +28,13 @@ thread_local const ThreadPool *CurrentWorkerPool = nullptr;
 } // namespace
 
 size_t hardwareThreads() {
+#if defined(__linux__)
+  // hardware_concurrency() counts every online CPU; the calling thread's
+  // affinity mask is what taskset and cpusets actually leave it.
+  cpu_set_t Mask;
+  if (sched_getaffinity(0, sizeof(Mask), &Mask) == 0 && CPU_COUNT(&Mask) > 0)
+    return static_cast<size_t>(CPU_COUNT(&Mask));
+#endif
   unsigned N = std::thread::hardware_concurrency();
   return N == 0 ? 1 : N;
 }

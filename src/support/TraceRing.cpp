@@ -56,8 +56,6 @@ const char *tagSlowReasonName(TagSlowReason Reason) {
     return "first_holder";
   case TagSlowReason::LastHolder:
     return "last_holder";
-  case TagSlowReason::SlotRecycled:
-    return "slot_recycled";
   case TagSlowReason::ShardLockWait:
     return "shard_lock_wait";
   case TagSlowReason::OverflowSpill:
@@ -209,9 +207,6 @@ const char *flightEventName(FlightKind Kind, uint8_t Arg) {
       return "TagTable.acquire.slow:first_holder";
     case TagSlowReason::LastHolder:
       return "TagTable.release.slow:last_holder";
-    case TagSlowReason::SlotRecycled:
-      return Acq ? "TagTable.acquire.slow:slot_recycled"
-                 : "TagTable.release.slow:slot_recycled";
     case TagSlowReason::ShardLockWait:
       return Acq ? "TagTable.acquire.slow:shard_lock_wait"
                  : "TagTable.release.slow:shard_lock_wait";

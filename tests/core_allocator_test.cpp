@@ -58,13 +58,9 @@ protected:
 /// Options for the paper's exact Algorithm 2 semantics: the last release
 /// clears granule tags immediately. The tests that assert clear-on-release
 /// behaviour use this; deferred-clear semantics get their own tests below.
-core::TagAllocatorOptions exactOptions(core::TagTableKind Kind,
-                                       unsigned NumTables = 16,
-                                       bool EraseDeadEntries = false) {
+core::TagAllocatorOptions exactOptions(core::TagTableKind Kind) {
   core::TagAllocatorOptions Options;
   Options.Locks = Kind;
-  Options.NumTables = NumTables;
-  Options.EraseDeadEntries = EraseDeadEntries;
   Options.DeferredTagClear = false;
   return Options;
 }
@@ -119,24 +115,25 @@ TEST_P(TagAllocatorTest, DoubleReleaseIsTolerated) {
   uint64_t Begin = allocRange(32);
   Alloc.acquire(Begin, Begin + 32);
   Alloc.release(Begin, Begin + 32);
-  Alloc.release(Begin, Begin + 32); // entry gone or count already 0
+  Alloc.release(Begin, Begin + 32); // count already 0
   EXPECT_EQ(Alloc.stats().TagsCleared.value(), 1u);
 }
 
-TEST_P(TagAllocatorTest, EntryKeptByDefaultErasedOnRequest) {
-  // Algorithm 2 as published leaves the tuple in place for reuse...
-  TagAllocator Keep(GetParam());
+TEST_P(TagAllocatorTest, EntryKeptAfterReleaseAndReused) {
+  // Algorithm 2 as published clears the tags on the last release and
+  // leaves the {referenceNum, mutexAddr} tuple in place for reuse.
+  TagAllocator Alloc(exactOptions(GetParam()));
   uint64_t Begin = allocRange(32);
-  Keep.acquire(Begin, Begin + 32);
-  EXPECT_EQ(Keep.table().occupiedEntries(), 1u);
-  Keep.release(Begin, Begin + 32);
-  EXPECT_EQ(Keep.table().occupiedEntries(), 1u);
-  // ...but the allocator can be asked to trim dead entries (exact mode:
-  // a deferred release never reaches the erase path by design).
-  TagAllocator Erase(exactOptions(GetParam(), 16, /*EraseDeadEntries=*/true));
-  Erase.acquire(Begin, Begin + 32);
-  Erase.release(Begin, Begin + 32);
-  EXPECT_EQ(Erase.table().occupiedEntries(), 0u);
+  for (int Round = 0; Round < 2; ++Round) {
+    Alloc.acquire(Begin, Begin + 32);
+    EXPECT_EQ(Alloc.table().occupiedEntries(), 1u);
+    Alloc.release(Begin, Begin + 32);
+    EXPECT_EQ(Alloc.table().occupiedEntries(), 1u);
+    EXPECT_EQ(Alloc.table().liveEntries(), 0u);
+  }
+  EXPECT_EQ(Alloc.table().stats().Creates, 1u);
+  EXPECT_EQ(Alloc.stats().TagsGenerated.value(), 2u);
+  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 2u);
 }
 
 TEST_P(TagAllocatorTest, UseAfterReleaseFaults) {
@@ -176,7 +173,7 @@ TEST_P(TagAllocatorTest, DistinctObjectsGetIndependentTags) {
 }
 
 TEST_P(TagAllocatorTest, ConcurrentAcquireReleaseOnSameObject) {
-  TagAllocator Alloc(GetParam(), 16, /*EraseDeadEntries=*/true);
+  TagAllocator Alloc(GetParam());
   uint64_t Begin = allocRange(4096);
 
   constexpr int kThreads = 8;
@@ -212,7 +209,7 @@ TEST_P(TagAllocatorTest, ConcurrentAcquireReleaseOnSameObject) {
 }
 
 TEST_P(TagAllocatorTest, ConcurrentDisjointObjects) {
-  TagAllocator Alloc(GetParam(), 16, /*EraseDeadEntries=*/true);
+  TagAllocator Alloc(GetParam());
   constexpr int kThreads = 8;
   constexpr int kIters = 2000;
 
@@ -266,9 +263,9 @@ TEST(TagTableTest, ShardIndexMatchesAlgorithm1) {
 
 TEST(TagTableTest, LookupOrCreateIsIdempotent) {
   TagTable Table(16);
-  auto A = Table.lookupOrCreate(0x1000);
-  auto B = Table.lookupOrCreate(0x1000);
-  EXPECT_EQ(A.get(), B.get());
+  TagTable::Entry &A = Table.lookupOrCreate(0x1000);
+  TagTable::Entry &B = Table.lookupOrCreate(0x1000);
+  EXPECT_EQ(&A, &B);
   // Structural occupancy: the entry exists even though nobody holds it
   // yet (liveEntries would be 0 here — it counts holders, not storage).
   EXPECT_EQ(Table.occupiedEntries(), 1u);
@@ -276,32 +273,17 @@ TEST(TagTableTest, LookupOrCreateIsIdempotent) {
   EXPECT_EQ(Table.stats().Creates, 1u);
 }
 
-TEST(TagTableTest, EraseIfDeadRespectsRefCount) {
-  TagTable Table(16);
-  auto E = Table.lookupOrCreate(0x2000);
-  E->RefCount = 1;
-  Table.eraseIfDead(0x2000);
-  EXPECT_EQ(Table.liveEntries(), 1u); // still referenced
-  E->RefCount = 0;
-  Table.eraseIfDead(0x2000);
-  EXPECT_EQ(Table.liveEntries(), 0u);
-}
-
 TEST(TagTableTest, StatsAccountingIsExactTwoTier) {
   // The documented rules: every keyed operation that consults a shard
-  // under its table lock counts exactly one Lookup (including eraseIfDead,
-  // which historically counted none); Creates/Erases one per entry.
+  // under its table lock counts exactly one Lookup; Creates one per entry.
   TagTable Table(4);
   Table.lookupOrCreate(0x1000); // Lookups 1, Creates 1
   Table.lookupOrCreate(0x1000); // Lookups 2
   Table.lookup(0x1000);         // Lookups 3
   Table.lookup(0x2000);         // Lookups 4 — a miss is still one lookup
-  Table.eraseIfDead(0x1000);    // Lookups 5, Erases 1 (refcount is 0)
-  Table.eraseIfDead(0x1000);    // Lookups 6 — absent, nothing to erase
   core::TagTableStats S = Table.stats();
-  EXPECT_EQ(S.Lookups, 6u);
+  EXPECT_EQ(S.Lookups, 4u);
   EXPECT_EQ(S.Creates, 1u);
-  EXPECT_EQ(S.Erases, 1u);
 }
 
 TEST(TagTableTest, StatsAccountingIsExactLockFree) {
@@ -311,13 +293,12 @@ TEST(TagTableTest, StatsAccountingIsExactLockFree) {
     ASSERT_NE(Table.slotLocked(0x1000, /*Create=*/true, Lock),
               nullptr);                              // Lookups 1, Creates 1
     Table.slotLocked(0x1000, /*Create=*/true, Lock); // Lookups 2
+    EXPECT_EQ(Table.slotLocked(0x2000, /*Create=*/false, Lock),
+              nullptr); // Lookups 3 — a miss is still one lookup
   }
-  Table.eraseIfDead(0x1000); // Lookups 3, Erases 1 (tombstone)
-  Table.eraseIfDead(0x1000); // Lookups 4 — already tombstoned
   core::TagTableStats S = Table.stats();
-  EXPECT_EQ(S.Lookups, 4u);
+  EXPECT_EQ(S.Lookups, 3u);
   EXPECT_EQ(S.Creates, 1u);
-  EXPECT_EQ(S.Erases, 1u);
 }
 
 TEST(TagTableTest, WorksWithNonDefaultTableCounts) {

@@ -7,7 +7,7 @@
 //
 // Hammers the lock-free TagTable fast path from many threads: the
 // resurrection race (a release dropping to zero while an acquire
-// re-tags), slot tombstoning and reuse, probe-window overflow into the
+// re-tags), deferred releases and reclaims, probe-window overflow into the
 // locked map, and the invariants the state-word design guarantees — the
 // reference count never goes negative (orphan counter stays zero for
 // balanced workloads), tags read back valid while held, and liveEntries
@@ -63,7 +63,6 @@ protected:
 TEST_F(TagTableConcurrentTest, ResurrectionRaceOnOneObject) {
   TagAllocatorOptions Options;
   Options.Locks = TagTableKind::LockFree;
-  Options.EraseDeadEntries = true; // tombstone/reuse on every death
   TagAllocator Alloc(Options);
   uint64_t Begin = allocRange(256);
 
@@ -102,12 +101,11 @@ TEST_F(TagTableConcurrentTest, ResurrectionRaceOnOneObject) {
 }
 
 /// Threads hammer a mix of private and shared objects so fast-path
-/// increments, slow-path 0->1 transitions, tombstoning and slot reuse all
-/// interleave across shards.
+/// increments, slow-path 0->1 transitions, deferred releases and warm
+/// re-acquires all interleave across shards.
 TEST_F(TagTableConcurrentTest, MixedObjectsConvergeToEmpty) {
   TagAllocatorOptions Options;
   Options.Locks = TagTableKind::LockFree;
-  Options.EraseDeadEntries = true;
   TagAllocator Alloc(Options);
 
   constexpr int kThreads = 8;
@@ -151,7 +149,6 @@ TEST_F(TagTableConcurrentTest, ProbeWindowOverflowSpillsToLockedMap) {
   Options.Locks = TagTableKind::LockFree;
   Options.NumTables = 1;
   Options.SlotsPerShard = TagTable::kProbeWindow; // minimum legal array
-  Options.EraseDeadEntries = true;
   TagAllocator Alloc(Options);
 
   constexpr int kObjects = 64; // 4x the slot capacity
@@ -225,7 +222,7 @@ TEST_F(TagTableConcurrentTest, DeepNestingSharesOneTag) {
 }
 
 /// Single-threaded sanity for the slot primitives themselves: probe,
-/// fast-path accept/reject, tombstone and reuse with an advancing epoch.
+/// fast-path accept/reject, and a released slot keeping its key.
 TEST_F(TagTableConcurrentTest, SlotPrimitives) {
   TagTable Table(4, TagTableKind::LockFree, 64);
   uint64_t Begin = 0x4000;
@@ -259,108 +256,64 @@ TEST_F(TagTableConcurrentTest, SlotPrimitives) {
   EXPECT_FALSE(Table.acquireFast(*S, Begin + 16, Warm));
   EXPECT_FALSE(Table.releaseFast(*S, Begin + 16, Deferred));
 
-  // Last release + tombstone, then reuse for another key.
-  {
-    auto Lock = Table.lockShard(Begin);
-    S->State.store(TagTable::packState(1, 0), std::memory_order_release);
-    Table.tombstoneLocked(*S, Lock);
-  }
-  EXPECT_EQ(Table.probeSlot(Begin), nullptr);
+  // Exact last release: the slot is no longer live but keeps its key for
+  // the table's lifetime, so the next acquire finds the same slot.
+  S->State.store(TagTable::packState(1, 0), std::memory_order_release);
+  EXPECT_EQ(Table.probeSlot(Begin), S);
   EXPECT_EQ(Table.liveEntries(), 0u);
-  EXPECT_EQ(Table.stats().Erases, 1u);
+  EXPECT_EQ(Table.occupiedEntries(), 1u);
 }
 
-/// The recycle-ABA property under deferred tag-clear: a CAS that stalled
-/// while its slot was lingering for key A must never succeed once the slot
-/// has been reclaimed — let alone after it was tombstoned and reused for a
-/// different key B. The reclaim's epoch bump is what kills it; this test
-/// replays the stalled CAS against every later stage of the slot's life.
-TEST_F(TagTableConcurrentTest, SlotRecycleAbaUnderDeferredClear) {
-  TagTable Table(1, TagTableKind::LockFree, TagTable::kProbeWindow,
-                 /*ResidentBudgetBytes=*/1 << 20);
-  ASSERT_EQ(Table.slotsPerShard(), TagTable::kProbeWindow);
-
-  // Claim every slot of the single shard so the only reusable slot later
-  // is A's tombstone (the probe window spans the whole array, so any new
-  // key's window covers it). Keys come from the arena: reclaim really
-  // clears granule tags, which asserts outside a registered region.
-  const uint64_t Base = allocRange((TagTable::kProbeWindow + 1) * 64);
-  const uint64_t KeyA = Base;
-  TagTable::Slot *SlotA = nullptr;
-  {
-    auto Lock = Table.lockShard(KeyA);
-    SlotA = Table.slotLocked(KeyA, /*Create=*/true, Lock);
-    ASSERT_NE(SlotA, nullptr);
-    for (unsigned I = 1; I < TagTable::kProbeWindow; ++I) {
-      TagTable::Slot *Filler =
-          Table.slotLocked(KeyA + I * 16, /*Create=*/true, Lock);
-      ASSERT_NE(Filler, nullptr);
-      ASSERT_NE(Filler, SlotA);
-      // Keep fillers held so they are never reusable.
-      Filler->State.store(TagTable::packState(1, 1, /*Resident=*/true),
-                          std::memory_order_release);
-    }
-    // A's first holder: tags written, resident, epoch advanced. Publish
-    // charges the resident budget (refunded when the tags are reclaimed).
-    SlotA->Bytes.store(64, std::memory_order_relaxed);
-    Table.chargeResident(KeyA, 64);
-    SlotA->State.store(TagTable::packState(1, 1, /*Resident=*/true),
-                       std::memory_order_release);
-  }
-
-  // Deferred release: {1, resident} -> {0, resident} (lingering).
-  bool Deferred = false;
-  ASSERT_TRUE(Table.releaseFast(*SlotA, KeyA, Deferred));
-  ASSERT_TRUE(Deferred);
+/// The reclaim-ABA property under deferred tag-clear: a warm CAS that
+/// stalled while its slot was lingering must never succeed once the slot
+/// has been reclaimed — nor after a new first holder re-tagged the range
+/// and a deferred release brought back the same {0, resident} shape over
+/// different tags. The slot's key never changes, so only the epoch bumps
+/// of the reclaim and of the first holder tell those states apart; this
+/// test replays the stalled CAS against each of them.
+TEST_F(TagTableConcurrentTest, ReclaimAbaUnderDeferredClear) {
+  TagAllocator Alloc(TagTableKind::LockFree);
+  ASSERT_TRUE(Alloc.deferredTagClear());
+  // Reclaim really clears granule tags, which asserts outside a
+  // registered region, so the range comes from the arena.
+  const uint64_t Begin = allocRange(64);
+  Alloc.acquire(Begin, Begin + 64);
+  Alloc.release(Begin, Begin + 64);
+  TagTable::Slot *S = Alloc.table().probeSlot(Begin);
+  ASSERT_NE(S, nullptr);
 
   // A thread stalls here: it read the lingering state and passed the key
   // check, and is about to CAS State -> State+1 (the warm acquire).
-  const uint64_t StalledState =
-      SlotA->State.load(std::memory_order_acquire);
+  const uint64_t StalledState = S->State.load(std::memory_order_acquire);
   ASSERT_EQ(TagTable::refCountOf(StalledState), 0u);
   ASSERT_TRUE(TagTable::residentOf(StalledState));
 
   auto StalledCasSucceeds = [&] {
     uint64_t Expected = StalledState;
-    return SlotA->State.compare_exchange_strong(Expected, StalledState + 1,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_acquire);
+    return S->State.compare_exchange_strong(Expected, StalledState + 1,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire);
   };
 
-  // Stage 1 — reclaim + tombstone: the epoch bump invalidates the stalled
-  // state word even though the refcount is back at 0.
-  {
-    auto Lock = Table.lockShard(KeyA);
-    Table.tombstoneLocked(*SlotA, Lock);
-  }
+  // Stage 1 — reclaim (TagTable::reclaimKey, the freed-object hook): the
+  // tags are cleared and the epoch bump invalidates the stalled state
+  // word even though the refcount is still 0.
+  ASSERT_TRUE(Alloc.reclaimRange(Begin, Begin + 64));
+  EXPECT_EQ(mte::ldgTag(Begin), 0);
   EXPECT_FALSE(StalledCasSucceeds());
 
-  // Stage 2 — a different key reuses the same physical slot.
-  const uint64_t KeyB = Base + TagTable::kProbeWindow * 16;
-  {
-    auto Lock = Table.lockShard(KeyB);
-    TagTable::Slot *SlotB = Table.slotLocked(KeyB, /*Create=*/true, Lock);
-    ASSERT_EQ(SlotB, SlotA); // same slot, new tenant
-    SlotB->Bytes.store(128, std::memory_order_relaxed);
-    Table.chargeResident(KeyB, 128);
-    SlotB->State.store(
-        TagTable::packState(
-            TagTable::epochOf(SlotB->State.load(std::memory_order_relaxed)) +
-                1,
-            1, /*Resident=*/true),
-        std::memory_order_release);
-  }
-  EXPECT_FALSE(StalledCasSucceeds());
-  // And the full fast path agrees: the key is B's now.
-  bool Warm = false;
-  EXPECT_FALSE(Table.acquireFast(*SlotA, KeyA, Warm));
-
-  // Stage 3 — B releases (deferred) so the refcount is 0 and the resident
-  // bit is set again: the *shape* of the stalled state recurs, but the
-  // epoch cannot, so the stalled CAS still loses.
-  Deferred = false;
-  ASSERT_TRUE(Table.releaseFast(*SlotA, KeyB, Deferred));
-  ASSERT_TRUE(Deferred);
+  // Stage 2 — a new first holder re-tags the range through the same slot
+  // (cold, not warm: a fresh IRG draw), and a deferred release brings
+  // back the {0, resident} shape the stalled thread saw. Only the epoch
+  // differs, so the stalled CAS still loses.
+  Alloc.acquire(Begin, Begin + 64);
+  Alloc.release(Begin, Begin + 64);
+  EXPECT_EQ(Alloc.table().probeSlot(Begin), S);
+  EXPECT_EQ(Alloc.stats().TagsGenerated.value(), 2u);
+  const uint64_t Recurred = S->State.load(std::memory_order_acquire);
+  ASSERT_EQ(TagTable::refCountOf(Recurred), 0u);
+  ASSERT_TRUE(TagTable::residentOf(Recurred));
+  EXPECT_NE(TagTable::epochOf(Recurred), TagTable::epochOf(StalledState));
   EXPECT_FALSE(StalledCasSucceeds());
 }
 

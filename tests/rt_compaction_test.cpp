@@ -13,8 +13,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "mte4jni/api/Session.h"
+#include "mte4jni/core/Mte4JniPolicy.h"
+#include "mte4jni/jni/JniEnv.h"
 #include "mte4jni/mte/Access.h"
+#include "mte4jni/mte/MteSystem.h"
+#include "mte4jni/rt/Runtime.h"
+#include "mte4jni/rt/Trampoline.h"
+#include "mte4jni/support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -88,36 +93,51 @@ TEST(Compaction, PinnedObjectsDoNotMove) {
 }
 
 TEST(Compaction, JniHeldArraySurvivesCompactionEndToEnd) {
-  // Through the whole stack, under MTE4JNI: native code holds an array
-  // across a compacting collection; its raw (tagged) pointer must stay
-  // valid because the pin blocks the move, and the tags stay put with it.
-  api::SessionConfig C;
-  C.Protection = api::Scheme::Mte4JniSync;
-  api::Session S(C);
-  // Re-wire the GC mode (Session defaults to mark-sweep).
-  // Build a second runtime config path: use the runtime's GC directly.
-  // (Compacting + Session is exercised via RuntimeConfig in the tests
-  // above; here we emulate by pinning + collecting.)
-  api::ScopedAttach Main(S, "main");
-  rt::HandleScope Scope(S.runtime());
+  // Through the whole stack, under MTE4JNI with a compacting collector:
+  // native code holds an array across a collection that frees the garbage
+  // in front of it. The JNI Get's pin must keep the array in place, so the
+  // tagged pointer native code holds stays valid; once released, the next
+  // cycle is free to move it.
+  RuntimeConfig C = compactingConfig();
+  C.Heap.Alignment = 16;
+  C.Heap.ProtMte = true;
+  C.CheckMode = mte::CheckMode::Sync;
+  C.TagChecksInNative = true;
+  Runtime RT(C);
+  core::Mte4JniPolicy Policy;
+  JavaThread &Main = RT.attachCurrentThread("main");
+  {
+    jni::JniEnv Env(RT, Policy);
+    HandleScope Scope(RT);
+    ObjectHeader *Garbage = RT.heap().allocPrimArray(PrimType::Int, 64);
+    (void)Garbage;
+    jni::jarray Array = Env.NewIntArray(Scope, 128);
+    const uint64_t ArrayAddr = reinterpret_cast<uint64_t>(Array);
 
-  jni::jarray Garbage = S.runtime().heap().allocPrimArray(PrimType::Int, 64);
-  (void)Garbage;
-  jni::jarray Array = Main.env().NewIntArray(Scope, 128);
+    GcResult Held;
+    rt::callNative(Main, NativeKind::Regular, "holder", [&] {
+      jni::jboolean IsCopy;
+      auto P = Env.GetIntArrayElements(Array, &IsCopy);
+      mte::store<jni::jint>(P, 42);
+      Held = RT.gc().collect();
+      // The pointer (and its tag) must still be good.
+      EXPECT_EQ(mte::load<jni::jint>(P), 42);
+      Env.ReleaseIntArrayElements(Array, P, 0);
+      return 0;
+    });
+    EXPECT_EQ(Held.ObjectsFreed, 1u);
+    EXPECT_EQ(Held.ObjectsMoved, 0u);
+    EXPECT_EQ(Held.ObjectsPinnedInPlace, 1u);
+    EXPECT_EQ(reinterpret_cast<uint64_t>(Scope.roots()[0]), ArrayAddr);
 
-  rt::callNative(Main.thread(), rt::NativeKind::Regular, "holder", [&] {
-    jni::jboolean IsCopy;
-    auto P = Main.env().GetIntArrayElements(Array, &IsCopy);
-    mte::store<jni::jint>(P, 42);
-
-    S.runtime().gc().collect(); // pin keeps Array in place
-
-    // The pointer (and its tag) must still be good.
-    EXPECT_EQ(mte::load<jni::jint>(P), 42);
-    Main.env().ReleaseIntArrayElements(Array, P, 0);
-    return 0;
-  });
-  EXPECT_EQ(S.faults().totalCount(), 0u);
+    // Released: the next cycle slides the array into the freed gap.
+    GcResult Released = RT.gc().collect();
+    EXPECT_EQ(Released.ObjectsMoved, 1u);
+    EXPECT_NE(reinterpret_cast<uint64_t>(Scope.roots()[0]), ArrayAddr);
+    EXPECT_EQ(rt::arrayData<int32_t>(Scope.roots()[0])[0], 42);
+  }
+  EXPECT_EQ(mte::MteSystem::instance().faultLog().totalCount(), 0u);
+  RT.detachCurrentThread();
 }
 
 TEST(Compaction, AllocationReusesReclaimedSpace) {

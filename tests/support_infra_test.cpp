@@ -15,6 +15,10 @@
 #include <atomic>
 #include <thread>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace {
 
 using namespace mte4jni::support;
@@ -144,6 +148,24 @@ TEST(ThreadPool, ZeroThreadsClampsToOne) {
 
 TEST(ThreadPool, HardwareThreadsNonZero) {
   EXPECT_GE(hardwareThreads(), 1u);
+#if defined(__linux__)
+  // Sized from the calling thread's affinity mask, so taskset and cpusets
+  // count: restricted to the first CPU of its mask, this thread sees 1.
+  cpu_set_t Saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Saved), &Saved), 0);
+  int First = 0;
+  while (First < CPU_SETSIZE && !CPU_ISSET(First, &Saved))
+    ++First;
+  ASSERT_LT(First, CPU_SETSIZE);
+  cpu_set_t One;
+  CPU_ZERO(&One);
+  CPU_SET(First, &One);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(One), &One), 0);
+  size_t Pinned = hardwareThreads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(Saved), &Saved), 0);
+  EXPECT_EQ(Pinned, 1u);
+  EXPECT_EQ(hardwareThreads(), static_cast<size_t>(CPU_COUNT(&Saved)));
+#endif
 }
 
 // parallelFor waits on ITS batch only: a long-running unrelated submit()
