@@ -120,7 +120,8 @@ private:
   uint64_t clearMarks();
   /// Marks everything transitively reachable from \p Roots.
   void markFromRoots(std::vector<ObjectHeader *> Roots);
-  /// Frees unmarked, unpinned objects; accumulates into \p Result.
+  /// Frees unmarked, unpinned objects onto the calling (collecting)
+  /// thread's free list at every parallelism; accumulates into \p Result.
   void sweep(GcResult &Result);
 
   Runtime &RT;

@@ -23,8 +23,10 @@
 ///     from the arena under a short-held refill mutex.
 ///   * Free lists are sharded by the thread's exclusive metrics shard and
 ///     indexed by size class (direct array up to 256 classes, map beyond),
-///     so reuse after a same-thread free or GC sweep stays O(1) under an
-///     uncontended spinlock. When the bump frontier is exhausted the slow
+///     so reuse stays O(1) under an uncontended spinlock. A single free()
+///     joins the freeing thread's list; a collection's freed blocks join
+///     the collecting thread's list at every GC parallelism, whichever
+///     worker swept them. When the bump frontier is exhausted the slow
 ///     path steals exact-size blocks from every shard before reporting
 ///     OutOfMemoryError.
 ///   * Liveness is an atomic side bitmap over alignment granules:
@@ -47,6 +49,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -87,8 +90,24 @@ public:
   /// Allocates an Object[] of \p Length null slots.
   ObjectHeader *allocRefArray(uint32_t Length);
 
-  /// Frees an object (GC sweep only). Thread-safe.
+  /// Frees an object onto the calling thread's free list, so this
+  /// thread's next same-size allocation returns the same address.
+  /// Thread-safe.
   void free(ObjectHeader *Obj);
+
+  /// Names one thread's free list; see callerFreeList().
+  enum class FreeListId : unsigned {};
+  /// The calling thread's free list: free() pushes onto it, and this
+  /// thread's allocations pop from it before bumping the TLAB.
+  static FreeListId callerFreeList();
+
+  /// The GC sweep's batch free: retires every object of \p Objs as free()
+  /// does (live bit, stats, freed-range hook, header poison), then pushes
+  /// all of their blocks onto free list \p Into under one hold of its
+  /// lock. The sweep passes the collecting thread's list, so where a
+  /// collection's blocks land does not depend on which worker swept them.
+  /// Returns the bytes freed. Thread-safe.
+  uint64_t freeAll(std::span<ObjectHeader *const> Objs, FreeListId Into);
 
   /// Hook invoked with an object's payload range whenever that memory
   /// stops belonging to the object: on free()/GC sweep, and for the OLD
@@ -215,8 +234,10 @@ private:
 
   /// Pops an exact-size block from \p FS; 0 when none. Takes FS.Lock.
   uint64_t takeFromShard(FreeShard &FS, uint64_t Size);
-  /// Pushes a block; takes FS.Lock.
-  void pushToShard(FreeShard &FS, uint64_t Size, uint64_t Addr);
+  /// The body of free() and freeAll(): retires \p Objs, then pushes their
+  /// blocks onto shard \p Into under one hold of its lock. Inlined into
+  /// both, so the one-object free() compiles to straight-line code.
+  uint64_t freeToShard(std::span<ObjectHeader *const> Objs, unsigned Into);
 
   /// Carves [result, result+Bytes) from the bump frontier; 0 when the
   /// arena is exhausted. RefillLock must be held.

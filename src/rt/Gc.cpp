@@ -229,26 +229,28 @@ void GcController::markFromRoots(std::vector<ObjectHeader *> Roots) {
 }
 
 void GcController::sweep(GcResult &Result) {
-  // Striped over disjoint bitmap segments; JavaHeap::free is thread-safe
-  // and each worker pushes reclaimed blocks onto its own free-list shard.
+  // Striped over disjoint bitmap segments. Every block a collection frees
+  // joins the collecting thread's free list at every parallelism, as the
+  // one-worker sweep does, so that thread's next same-size allocation
+  // reuses it. Each stripe frees its dead objects in one batch, taking
+  // that list's lock once rather than once per block.
+  JavaHeap &Heap = RT.heap();
+  const JavaHeap::FreeListId Into = JavaHeap::callerFreeList();
   unsigned Stripes = Workers <= 1 ? 1 : Workers * 4;
   std::atomic<uint64_t> FreedObjects{0}, FreedBytes{0};
   runStriped(Stripes, [&](size_t Stripe) {
-    uint64_t Objects = 0, Bytes = 0;
-    RT.heap().forEachObjectShard(
+    std::vector<ObjectHeader *> Dead;
+    Heap.forEachObjectShard(
         static_cast<unsigned>(Stripe), Stripes, [&](ObjectHeader *Obj) {
-          if (Obj->isMarked() || Obj->pinCount() > 0)
-            return;
-          Bytes += Obj->SizeBytes;
-          ++Objects;
-          // free() fires the heap's freed-range hook, which reclaims any
-          // lingering (deferred tag-clear) tags on the payload — a swept
-          // object must never keep a valid granule tag, or a dangling
-          // native pointer into it would still pass the check.
-          RT.heap().free(Obj);
+          if (!Obj->isMarked() && Obj->pinCount() == 0)
+            Dead.push_back(Obj);
         });
-    FreedObjects.fetch_add(Objects, std::memory_order_relaxed);
-    FreedBytes.fetch_add(Bytes, std::memory_order_relaxed);
+    // freeAll fires the heap's freed-range hook before any block is
+    // reusable, which reclaims lingering (deferred tag-clear) tags on the
+    // payload — a swept object must never keep a valid granule tag, or a
+    // dangling native pointer into it would still pass the check.
+    FreedBytes.fetch_add(Heap.freeAll(Dead, Into), std::memory_order_relaxed);
+    FreedObjects.fetch_add(Dead.size(), std::memory_order_relaxed);
   });
   Result.ObjectsFreed += FreedObjects.load(std::memory_order_relaxed);
   Result.BytesFreed += FreedBytes.load(std::memory_order_relaxed);

@@ -139,16 +139,6 @@ uint64_t JavaHeap::takeFromShard(FreeShard &FS, uint64_t Size) {
   return Addr;
 }
 
-void JavaHeap::pushToShard(FreeShard &FS, uint64_t Size, uint64_t Addr) {
-  std::lock_guard<support::SpinLock> Guard(FS.Lock);
-  uint64_t Class = Size >> AlignShift;
-  if (Class < kNumSmallClasses)
-    FS.Small[Class].push_back(Addr);
-  else
-    FS.Large[Size].push_back(Addr);
-  FS.Count.fetch_add(1, std::memory_order_relaxed);
-}
-
 uint64_t JavaHeap::allocSlow(uint64_t Size, unsigned Shard,
                              bool &FreeListHit) {
   // TLAB-worthy sizes refill the shard's buffer; big objects and
@@ -297,31 +287,63 @@ ObjectHeader *JavaHeap::allocRefArray(uint32_t Length) {
                      static_cast<uint64_t>(Length) * sizeof(ObjectHeader *));
 }
 
-void JavaHeap::free(ObjectHeader *Obj) {
-  uint64_t Addr = reinterpret_cast<uint64_t>(Obj);
-  M4J_ASSERT(contains(Obj) && (Addr & (Config.Alignment - 1)) == 0,
-             "freeing unknown object");
+M4J_ALWAYS_INLINE uint64_t
+JavaHeap::freeToShard(std::span<ObjectHeader *const> Objs, unsigned Into) {
+  int64_t Bytes = 0;
+  for (ObjectHeader *Obj : Objs) {
+    uint64_t Addr = reinterpret_cast<uint64_t>(Obj);
+    M4J_ASSERT(contains(Obj) && (Addr & (Config.Alignment - 1)) == 0,
+               "freeing unknown object");
+    // Unpublish first: a lock-free isLiveObject never observes a poisoned
+    // live object. Also asserts the bit was set (double-free detector).
+    clearLiveBit(Addr);
+    uint64_t Size = Obj->SizeBytes;
+    Bytes += static_cast<int64_t>(Size);
+    // A dead object must not keep valid granule tags: give the tag
+    // allocator its chance to reclaim a deferred (lingering) tag-clear
+    // before the block can be handed out again.
+    notifyFreedRange(Obj, Size);
+    // Poison the header so stale references are recognisable in tests.
+    Obj->ClassWord = 0xDEADDEAD;
+  }
+
+  // Stats go to the calling thread's own shard (single-writer cells).
   unsigned Shard = support::detail::metricShard();
-
-  // Unpublish first: a lock-free isLiveObject never observes a poisoned
-  // live object. Also asserts the bit was set (double-free detector).
-  clearLiveBit(Addr);
-
-  uint64_t Size = Obj->SizeBytes;
   StatShard &St = StatShards[Shard];
-  statAdd(St.BytesLive, -static_cast<int64_t>(Size), Shard);
-  statAdd(St.ObjectsLive, -1, Shard);
-  statAdd(St.ObjectsFreed, 1, Shard);
+  int64_t N = static_cast<int64_t>(Objs.size());
+  statAdd(St.BytesLive, -Bytes, Shard);
+  statAdd(St.ObjectsLive, -N, Shard);
+  statAdd(St.ObjectsFreed, N, Shard);
 
-  // A dead object must not keep valid granule tags: give the tag
-  // allocator its chance to reclaim a deferred (lingering) tag-clear.
-  notifyFreedRange(Obj, Size);
-  // Poison the header so stale references are recognisable in tests.
-  Obj->ClassWord = 0xDEADDEAD;
+  // The blocks go to the list the caller named, not necessarily its own:
+  // free() keeps same-thread reuse local, and a GC sweep worker hands its
+  // stripe's blocks to the collecting thread in one lock hold.
+  FreeShard &FS = FreeShards[Into];
+  std::lock_guard<support::SpinLock> Guard(FS.Lock);
+  for (ObjectHeader *Obj : Objs) {
+    uint64_t Size = Obj->SizeBytes;
+    uint64_t Class = Size >> AlignShift;
+    uint64_t Addr = reinterpret_cast<uint64_t>(Obj);
+    if (Class < kNumSmallClasses)
+      FS.Small[Class].push_back(Addr);
+    else
+      FS.Large[Size].push_back(Addr);
+  }
+  FS.Count.fetch_add(Objs.size(), std::memory_order_relaxed);
+  return static_cast<uint64_t>(Bytes);
+}
 
-  // The freeing thread's shard: GC sweep workers spread reclaimed blocks
-  // across their own shards, mutators keep same-thread reuse local.
-  pushToShard(FreeShards[Shard], Size, Addr);
+JavaHeap::FreeListId JavaHeap::callerFreeList() {
+  return FreeListId{support::detail::metricShard()};
+}
+
+void JavaHeap::free(ObjectHeader *Obj) {
+  freeToShard({&Obj, 1}, support::detail::metricShard());
+}
+
+uint64_t JavaHeap::freeAll(std::span<ObjectHeader *const> Objs,
+                           FreeListId Into) {
+  return Objs.empty() ? 0 : freeToShard(Objs, static_cast<unsigned>(Into));
 }
 
 std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {

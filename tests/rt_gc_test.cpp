@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 namespace {
@@ -174,6 +175,37 @@ TEST(RtGc, FreeListMemoryIsReusedAfterGc) {
   ObjectHeader *Reused = RT.heap().allocPrimArray(PrimType::Int, 256);
   EXPECT_EQ(reinterpret_cast<uint64_t>(Reused), Addr);
   RT.detachCurrentThread();
+}
+
+TEST(RtGc, FreeListReuseAfterGcAtEveryParallelism) {
+  // The same round trip with the worker count pinned: whichever worker
+  // sweeps a block, it joins the collecting thread's free list. With 256
+  // objects the garbage spans several TLABs, so every stripe of a
+  // parallel sweep has blocks and several workers push onto the one list
+  // at once.
+  for (unsigned Parallelism : {1u, 2u, 4u, 8u}) {
+    for (unsigned Objects : {1u, 256u}) {
+      SCOPED_TRACE(testing::Message() << "Parallelism=" << Parallelism
+                                      << " Objects=" << Objects);
+      RuntimeConfig C = baseConfig();
+      C.Gc.Parallelism = Parallelism;
+      Runtime RT(C);
+      ASSERT_EQ(RT.gc().workers(), Parallelism);
+      RT.attachCurrentThread("main");
+      std::set<uint64_t> Swept;
+      for (unsigned I = 0; I < Objects; ++I)
+        Swept.insert(reinterpret_cast<uint64_t>(
+            RT.heap().allocPrimArray(PrimType::Int, 256)));
+      EXPECT_EQ(RT.gc().collect().ObjectsFreed, Objects);
+      // As many same-size allocations empty the set only if each one
+      // reused a distinct swept block.
+      for (unsigned I = 0; I < Objects; ++I)
+        Swept.erase(reinterpret_cast<uint64_t>(
+            RT.heap().allocPrimArray(PrimType::Int, 256)));
+      EXPECT_EQ(Swept.size(), 0u) << "swept blocks left unused";
+      RT.detachCurrentThread();
+    }
+  }
 }
 
 } // namespace
