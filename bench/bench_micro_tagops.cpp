@@ -9,7 +9,8 @@
 // figures — the A1/A2 ablations of DESIGN.md:
 //
 //   * simulated MTE instructions (IRG, STG range, LDG)
-//   * checked vs unchecked load (the per-access cost MTE+Sync pays)
+//   * checked vs unchecked load (the per-access cost MTE+Sync pays), and
+//     a read inside a pinned string view (one scan per pin)
 //   * Algorithm 1+2 acquire/release round trips: two-tier vs global lock,
 //     single- and multi-threaded, same vs distinct objects
 //   * guarded-copy acquire/release vs MTE4JNI acquire/release per size
@@ -18,6 +19,7 @@
 
 #include "Harness.h"
 
+#include "mte4jni/api/Session.h"
 #include "mte4jni/core/TagAllocator.h"
 #include "mte4jni/guarded/GuardedCopy.h"
 #include "mte4jni/mte/Access.h"
@@ -104,6 +106,40 @@ void BM_LoadCheckedSync(benchmark::State &State) {
   mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::None);
 }
 BENCHMARK(BM_LoadCheckedSync);
+
+/// A read inside a held jni::PinnedStringChars under MTE4JNI-sync with
+/// checks on: the view's one scan at construction stands in for the
+/// per-read check, so the row should sit next to BM_LoadUnchecked, not
+/// BM_LoadCheckedSync (DESIGN.md §7).
+void BM_LoadPinnedView(benchmark::State &State) {
+  mte::TaggedArena &Shared = arena();
+  {
+    api::SessionConfig Config;
+    Config.Protection = api::Scheme::Mte4JniSync;
+    Config.HeapBytes = 4 << 20;
+    api::Session S(Config);
+    api::ScopedAttach Main(S, "bench");
+    rt::HandleScope Scope(S.runtime());
+    std::string Text(2048, 'x');
+    jni::jstring Str = Main.env().NewStringUTF(Scope, Text.c_str());
+    rt::callNative(Main.thread(), rt::NativeKind::Regular, "pinned_view",
+                   [&] {
+                     jni::PinnedStringChars View(Main.env(), Str);
+                     if (!View.scanMatched())
+                       State.SkipWithError("the view's scan did not match");
+                     int I = 0;
+                     for (auto _ : State) {
+                       benchmark::DoNotOptimize(View.at(I & 2047));
+                       ++I;
+                     }
+                   });
+  }
+  // Building the session's Runtime reset the MTE system, which dropped the
+  // shared arena's region: register it again for the rows that follow.
+  mte::MteSystem::instance().registerRegion(
+      reinterpret_cast<void *>(Shared.begin()), Shared.capacity());
+}
+BENCHMARK(BM_LoadPinnedView);
 
 /// Check-path ablation rows (DESIGN.md §7 cost model). BM_LoadCheckedSync
 /// above is the cache-HIT scalar row: every access lands in the thread's

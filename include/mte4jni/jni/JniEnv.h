@@ -35,6 +35,7 @@
 #define MTE4JNI_JNI_JNIENV_H
 
 #include "mte4jni/jni/CheckPolicy.h"
+#include "mte4jni/mte/Access.h"
 #include "mte4jni/mte/TaggedPtr.h"
 #include "mte4jni/rt/Handle.h"
 #include "mte4jni/rt/JavaString.h"
@@ -218,6 +219,45 @@ private:
 
   /// JNI local-reference frames (PushLocalFrame/PopLocalFrame).
   std::vector<std::unique_ptr<rt::HandleScope>> LocalFrames;
+};
+
+/// A string critical held for one C++ scope and read one jchar at a time.
+/// The constructor runs GetStringCritical and the destructor
+/// ReleaseStringCritical, so the view cannot outlive its pin. While the pin
+/// is held the string's tags cannot change (DESIGN.md §7), so the
+/// constructor checks the whole [data(), data() + length()) range once with
+/// mte::rangeTagsMatch, and when it matched, at(I) reads in-range chars
+/// without a check. Every other read (an index outside [0, length()), or
+/// any index of a view whose scan did not match) is an mte::load, so values
+/// and faults are exactly those of per-access checked loads. The thread's
+/// check state is taken at construction; a native body does not change it.
+class PinnedStringChars {
+public:
+  PinnedStringChars(JniEnv &Env, jstring Str);
+  ~PinnedStringChars();
+
+  PinnedStringChars(const PinnedStringChars &) = delete;
+  PinnedStringChars &operator=(const PinnedStringChars &) = delete;
+
+  /// The pinned chars; null when GetStringCritical raised an error.
+  mte::TaggedPtr<const jchar> data() const { return Chars; }
+  jsize length() const { return Length; }
+  /// True when in-range reads skip their check.
+  bool scanMatched() const { return UncheckedLength != 0; }
+
+  M4J_ALWAYS_INLINE jchar at(jsize I) const {
+    if (M4J_LIKELY(static_cast<uint32_t>(I) < UncheckedLength))
+      return Chars.raw()[I];
+    return mte::load<const jchar>(Chars + I);
+  }
+
+private:
+  JniEnv &Env;
+  jstring Str;
+  mte::TaggedPtr<const jchar> Chars;
+  jsize Length = 0;
+  /// length() when the constructor's scan matched, else 0.
+  uint32_t UncheckedLength = 0;
 };
 
 // ==== template implementations =============================================

@@ -120,6 +120,15 @@ void fillBytes(TaggedPtr<void> Dst, uint8_t Value, uint64_t Bytes);
 void checkReadRange(TaggedPtr<const void> Ptr, uint64_t Bytes);
 void checkWriteRange(TaggedPtr<void> Ptr, uint64_t Bytes);
 
+/// The same read check as checkReadRange, but silent: returns whether a
+/// checked read of every byte of [Ptr, Ptr+Bytes) would pass, and never
+/// delivers or latches a fault. True when the thread's checks are off. It
+/// takes checkReadRange's region-cache and shadow-scan path and counts as
+/// one checked range read. For a caller that holds a pin over the range
+/// (the range's tags cannot change until it releases) and can then read
+/// in-range bytes without further checks; see jni::PinnedStringChars.
+bool rangeTagsMatch(TaggedPtr<const void> Ptr, uint64_t Bytes);
+
 /// Tag-checked read into untagged host memory.
 void readBytes(void *HostDst, TaggedPtr<const void> Src, uint64_t Bytes);
 

@@ -165,9 +165,11 @@ public:
   /// failed allocation), its claim is parked for the duration of the pause
   /// — it is at a safepoint — and restored by endPause(). Records the
   /// rt/gc/ttsp_nanos (time-to-safepoint) histogram and a GC.ttsp flight
-  /// slice for the request->drained window. Paired with endPause().
+  /// slice for the request->drained window. Paired with endPause(), which
+  /// returns the monotonic time at which it cleared the pause: no parked
+  /// mutator resumes before it.
   void beginPause();
-  void endPause();
+  uint64_t endPause();
 
 private:
   friend class JavaThread;

@@ -217,6 +217,21 @@ void JniEnv::ReleaseStringCritical(jstring Str,
   RT.exitCritical();
 }
 
+PinnedStringChars::PinnedStringChars(JniEnv &Env, jstring Str)
+    : Env(Env), Str(Str), Chars(Env.GetStringCritical(Str, nullptr)) {
+  if (Chars.isNull())
+    return;
+  Length = static_cast<jsize>(Str->Length);
+  if (mte::rangeTagsMatch(Chars.cast<const void>(),
+                          uint64_t(Str->Length) * sizeof(jchar)))
+    UncheckedLength = Str->Length;
+}
+
+PinnedStringChars::~PinnedStringChars() {
+  if (!Chars.isNull())
+    Env.ReleaseStringCritical(Str, Chars);
+}
+
 // ==== string interfaces ==================================================
 
 mte::TaggedPtr<const jchar> JniEnv::GetStringChars(jstring Str,

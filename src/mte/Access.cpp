@@ -156,9 +156,10 @@ namespace {
 /// hardware analog is that a memcpy's tag checks ride along with its loads
 /// and stores at no visible extra cost. Ranges may straddle region
 /// boundaries in either direction; every granule inside a region is
-/// checked, granules outside every region are not.
-M4J_NOINLINE void checkRangeSlow(ThreadState &TS, uint64_t Bits,
-                                 uint64_t Bytes, bool IsWrite,
+/// checked, granules outside every region are not. Returns false on a
+/// mismatch, which is reported only when \p Report is set.
+M4J_NOINLINE bool checkRangeSlow(ThreadState &TS, uint64_t Bits,
+                                 uint64_t Bytes, bool IsWrite, bool Report,
                                  support::SampledLatency &Lat) {
   MteSystem &System = MteSystem::instance();
   uint64_t Address = addressOf(Bits);
@@ -185,19 +186,21 @@ M4J_NOINLINE void checkRangeSlow(ThreadState &TS, uint64_t Bits,
     uint64_t Bad = Region.findMismatch(FirstIdx, LastIdx, PointerTag);
     if (M4J_UNLIKELY(Bad != UINT64_MAX)) {
       TS.countAccess(IsWrite, Granules);
+      if (!Report)
+        return false;
       uint64_t BadAddr = Region.begin() + (Bad << kGranuleShift);
       uint64_t FaultAddr = std::max(Address, BadAddr);
       detail::reportMismatch(
           TS, FaultAddr, PointerTag, Region.tagAt(BadAddr),
           static_cast<uint32_t>(std::min<uint64_t>(Bytes, kGranuleSize)),
           IsWrite);
-      return;
+      return false;
     }
     if (Address >= Region.begin() && End <= Region.end())
       Container = &Region;
   }
   if (Granules == 0)
-    return; // not PROT_MTE memory
+    return true; // not PROT_MTE memory
 
   TS.countAccess(IsWrite, Granules);
   if (Lat.armed()) {
@@ -207,15 +210,20 @@ M4J_NOINLINE void checkRangeSlow(ThreadState &TS, uint64_t Bits,
   }
   if (Container != nullptr)
     TS.cacheRegion(Pin->findShared(Address), Pin.epoch());
+  return true;
 }
 
-M4J_ALWAYS_INLINE void checkRange(uint64_t Bits, uint64_t Bytes,
-                                  bool IsWrite) {
+/// True when a checked access of every byte of [Bits, Bits+Bytes) would
+/// pass: checks are off, or every in-region granule matches the pointer
+/// tag. A mismatch is delivered or latched as a checked access's would be,
+/// unless \p Report is false.
+M4J_ALWAYS_INLINE bool checkRange(uint64_t Bits, uint64_t Bytes,
+                                  bool IsWrite, bool Report = true) {
   if (Bytes == 0)
-    return;
+    return true;
   ThreadState &TS = ThreadState::current();
   if (M4J_LIKELY(!TS.checksOn()))
-    return;
+    return true;
 
   // ~1/64 of checks record a latency sample and a CheckScan flight slice
   // (kernel choice + granule count filled in below, once known).
@@ -248,11 +256,11 @@ M4J_ALWAYS_INLINE void checkRange(uint64_t Bits, uint64_t Bytes,
     if (M4J_LIKELY(Bad == UINT64_MAX)) {
       TS.countAccess(IsWrite, Granules);
       TS.countRegionCacheHit();
-      return;
+      return true;
     }
     // Mismatch: fall through for uniform counting and reporting.
   }
-  checkRangeSlow(TS, Bits, Bytes, IsWrite, Lat);
+  return checkRangeSlow(TS, Bits, Bytes, IsWrite, Report, Lat);
 }
 
 } // namespace
@@ -263,6 +271,10 @@ void checkReadRange(TaggedPtr<const void> Ptr, uint64_t Bytes) {
 
 void checkWriteRange(TaggedPtr<void> Ptr, uint64_t Bytes) {
   checkRange(Ptr.bits(), Bytes, /*IsWrite=*/true);
+}
+
+bool rangeTagsMatch(TaggedPtr<const void> Ptr, uint64_t Bytes) {
+  return checkRange(Ptr.bits(), Bytes, /*IsWrite=*/false, /*Report=*/false);
 }
 
 void copyBytes(TaggedPtr<void> Dst, TaggedPtr<const void> Src,

@@ -268,10 +268,13 @@ GcResult GcController::collect() {
   GcMetrics &GM = gcMetrics();
   uint64_t CollectStart = support::monotonicNanos();
   // The stop-the-world window: from the pause *request* (mutators may be
-  // blocked from here on) until endPause releases them. This is the number
-  // a tenant's tail latency actually pays, so it is exported both as the
-  // rt/gc/pause_nanos histogram and as a GC.pause flight slice on this
-  // thread's lane (gc-background for the background collector).
+  // blocked from here on) until endPause clears it and mutators may run
+  // again. This is the number a tenant's tail latency actually pays, so it
+  // is exported both as the rt/gc/pause_nanos histogram and as a GC.pause
+  // flight slice on this thread's lane (gc-background for the background
+  // collector). It ends at endPause's own timestamp, not when the call
+  // returns: waking the parked mutators can take longer than the pause
+  // itself, and the woken ones run meanwhile.
   uint64_t PauseStart = CollectStart;
   RT.beginPause();
   GM.ParallelWorkers.set(Workers);
@@ -342,8 +345,7 @@ GcResult GcController::collect() {
                         VerifyEnd);
   }
 
-  RT.endPause();
-  uint64_t PauseEnd = support::monotonicNanos();
+  uint64_t PauseEnd = RT.endPause();
   GM.PauseNanos.record(PauseEnd - PauseStart);
   recordGcPhaseFlight(support::GcFlightPhase::Pause, PauseStart, PauseEnd);
   Cycles.fetch_add(1, std::memory_order_relaxed);

@@ -288,7 +288,7 @@ void Runtime::beginPause() {
         ReachedNanos - RequestNanos);
 }
 
-void Runtime::endPause() {
+uint64_t Runtime::endPause() {
   JavaThread *Self = JavaThread::currentOrNull();
   std::lock_guard<std::mutex> Guard(PauseLock);
   // Restore the claim beginPause parked, before any mutator can resume —
@@ -297,9 +297,14 @@ void Runtime::endPause() {
   if (Self && Self->CriticalDepth > 0)
     Self->Claim.store(1, std::memory_order_seq_cst);
   PauseActive.store(false, std::memory_order_seq_cst);
+  // The world restarts here: a parked mutator resumes only after it
+  // re-takes PauseLock, so none runs before this time. The broadcast and
+  // the unlock below can take longer than the pause's own work.
+  const uint64_t ResumeNanos = support::monotonicNanos();
   // The one broadcast per pause: release every blocked mutator (and any
   // queued collector) together.
   ResumeCv.notify_all();
+  return ResumeNanos;
 }
 
 } // namespace mte4jni::rt

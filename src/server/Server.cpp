@@ -253,10 +253,13 @@ private:
             jni::jsize Len = Me.env().GetStringLength(Str);
             auto P = Me.env().GetStringCritical(Str, &IsCopy);
             uint64_t Acc = 0;
-            // Per-char checked scan (JNI-intensive style). The strided
-            // checkpoint lets a requested GC pause run mid-scan instead
-            // of waiting out the whole critical section: the string stays
-            // pinned, so P is stable across the poll.
+            // Per-char scan through mte::load. A @CriticalNative call
+            // leaves TCO as the caller had it (set), so these loads are
+            // unchecked under every scheme: the request prices the pin
+            // and the trampoline, not tag checks. The strided checkpoint
+            // lets a requested GC pause run mid-scan instead of waiting
+            // out the whole critical section: the string stays pinned, so
+            // P is stable across the poll.
             for (jni::jsize I = 0; I < Len; ++I) {
               if ((I & 63) == 0)
                 S.runtime().safepointPoll();

@@ -127,7 +127,10 @@ TEST(RtGc, BackgroundThreadCollects) {
   for (int I = 0; I < 50; ++I)
     RT.heap().allocPrimArray(PrimType::Int, 64);
 
-  for (int Spin = 0; Spin < 200 && RT.heap().stats().ObjectsLive > 0;
+  // collect() counts its cycle only after the pause ends, and the sweep's
+  // frees show in the heap stats before that: wait for both.
+  for (int Spin = 0; Spin < 200 && (RT.heap().stats().ObjectsLive > 0 ||
+                                    RT.gc().completedCycles() == 0);
        ++Spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_EQ(RT.heap().stats().ObjectsLive, 0u);

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -280,6 +281,11 @@ TEST(RtHeapConcurrent, VerifyRacesCallNativePayloadWriters) {
   for (auto &Th : Threads)
     Th.join();
 
+  // The writers can finish before the background thread's first collect()
+  // begins, and stop() joins a cycle under way but starts none: wait for
+  // one to complete.
+  for (int Spin = 0; Spin < 2000 && RT.gc().completedCycles() == 0; ++Spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   RT.gc().stop();
   EXPECT_GT(RT.gc().completedCycles(), 0u)
       << "the collector must actually have verified against the writers";

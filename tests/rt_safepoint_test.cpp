@@ -9,7 +9,8 @@
 // rt::callNative body holds off the GC pause until it reaches a
 // checkpoint; once the pause is granted the world is actually stopped
 // (zero payload writes land while it holds); time-to-safepoint is
-// observable in rt/gc/ttsp_nanos; every attached thread's claim is
+// observable in rt/gc/ttsp_nanos; the recorded pause ends no later than
+// parked mutators resume; every attached thread's claim is
 // drained, including threads that attach and detach mid-run and threads
 // that exit without detaching; and the OOM-retry path in the object
 // factory returns null instead of rooting a dead allocation. Runs under
@@ -20,13 +21,17 @@
 #include "mte4jni/rt/Runtime.h"
 #include "mte4jni/rt/Trampoline.h"
 #include "mte4jni/support/Metrics.h"
+#include "mte4jni/support/TraceRing.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -235,6 +240,112 @@ TEST(RtSafepoint, TtspRecordsLongCriticalHoldout) {
   EXPECT_EQ(Ttsp->Count, CountBefore + 1);
   EXPECT_GE(Ttsp->Sum - SumBefore, 5'000'000u)
       << "a ~10ms critical holdout must show up as >=5ms of ttsp";
+}
+
+/// Start and end, in microseconds as the flight export prints them, of
+/// every \p Name slice in \p Json.
+std::vector<std::pair<double, double>> flightSlices(const std::string &Json,
+                                                    const char *Name) {
+  std::vector<std::pair<double, double>> Slices;
+  const std::string Key = std::string("\"name\":\"") + Name + "\"";
+  for (size_t At = Json.find(Key); At != std::string::npos;
+       At = Json.find(Key, At + 1)) {
+    size_t Ts = Json.find("\"ts\":", At);
+    size_t Dur = Json.find("\"dur\":", At);
+    if (Ts == std::string::npos || Dur == std::string::npos)
+      break;
+    double Start = std::strtod(Json.c_str() + Ts + 5, nullptr);
+    Slices.emplace_back(Start,
+                        Start + std::strtod(Json.c_str() + Dur + 6, nullptr));
+  }
+  return Slices;
+}
+
+// The recorded pause ends when the world restarts, not when the collector
+// has finished waking it: every mutator parked at safepointPoll resumes no
+// earlier than the end of its pause's GC.pause slice (which rt/gc/
+// pause_nanos records too). A poll is matched to the pause it parked for
+// through that pause's GC.ttsp slice: the world drained at the slice's end,
+// and a mutator held inside a native body drains only while parked, so its
+// parked poll is the one that spans that instant.
+TEST(RtSafepoint, ParkedMutatorsResumeNoEarlierThanTheRecordedPauseEnd) {
+  Runtime RT(plainConfig());
+  support::obs::setLevel(1); // GC phase slices are recorded from level 1
+  support::FlightRecorder::clear();
+
+  // With four mutators a small host has no idle CPU when the pause ends,
+  // so the woken mutators compete with the collector (the old pause end
+  // then came after some of them resumed). 200 pauses fit in the
+  // collector's flight ring, at six GC slices each.
+  constexpr unsigned kMutators = 4;
+  constexpr unsigned kPauses = 200;
+  // A poll that parks takes the pause's own work plus a futex wake; one
+  // that does not returns in tens of nanoseconds. Keep only the long ones.
+  constexpr uint64_t kParkedNanos = 1000;
+  struct Poll {
+    uint64_t Before, After;
+  };
+  std::vector<std::vector<Poll>> Polls(kMutators);
+  std::atomic<unsigned> InBody{0};
+  std::atomic<bool> Stop{false};
+  std::vector<std::thread> Mutators;
+  for (unsigned M = 0; M < kMutators; ++M)
+    Mutators.emplace_back([&, M] {
+      JavaThread &Self = RT.attachCurrentThread("poller");
+      callNative(Self, NativeKind::Regular, "polling_loop", [&] {
+        InBody.fetch_add(1);
+        while (!Stop.load()) {
+          uint64_t Before = support::monotonicNanos();
+          RT.safepointPoll();
+          uint64_t After = support::monotonicNanos();
+          if (After - Before >= kParkedNanos)
+            Polls[M].push_back({Before, After});
+        }
+        return 0;
+      });
+      RT.detachCurrentThread();
+    });
+  while (InBody.load() != kMutators)
+    std::this_thread::yield();
+
+  std::string Json;
+  std::thread Collector([&] {
+    RT.attachCurrentThread("gc", ThreadKind::GcSupport);
+    for (unsigned P = 0; P < kPauses; ++P)
+      RT.gc().collect();
+    // Export while this thread is alive: a thread that exits gives its
+    // ring to the next thread that records, which drops its events.
+    Json = support::FlightRecorder::exportChromeJson();
+    RT.detachCurrentThread();
+  });
+  Collector.join();
+  Stop.store(true);
+  for (auto &Th : Mutators)
+    Th.join();
+
+  auto Ttsp = flightSlices(Json, "GC.ttsp");
+  auto Pause = flightSlices(Json, "GC.pause");
+  ASSERT_EQ(Ttsp.size(), kPauses);
+  ASSERT_EQ(Pause.size(), kPauses);
+  // The export prints microseconds with three decimals.
+  constexpr double kRoundingMicros = 0.002;
+  for (unsigned P = 0; P < kPauses; ++P) {
+    const double DrainedMicros = Ttsp[P].second;
+    const double EndMicros = Pause[P].second;
+    for (unsigned M = 0; M < kMutators; ++M) {
+      const Poll *Parked = nullptr;
+      for (const Poll &Q : Polls[M])
+        if (Q.Before / 1000.0 <= DrainedMicros + kRoundingMicros &&
+            Q.After / 1000.0 + kRoundingMicros >= DrainedMicros)
+          Parked = &Q;
+      ASSERT_NE(Parked, nullptr)
+          << "mutator " << M << " drained pause " << P << " without parking";
+      EXPECT_GE(Parked->After / 1000.0 + kRoundingMicros, EndMicros)
+          << "mutator " << M << " resumed "
+          << EndMicros - Parked->After / 1000.0
+          << " us before the recorded end of pause " << P;
+    }
+  }
 }
 
 // The per-thread handshake under attach churn: 32 attached threads loop
