@@ -112,32 +112,25 @@ BENCHMARK(BM_LoadCheckedSync);
 /// per-read check, so the row should sit next to BM_LoadUnchecked, not
 /// BM_LoadCheckedSync (DESIGN.md §7).
 void BM_LoadPinnedView(benchmark::State &State) {
-  mte::TaggedArena &Shared = arena();
-  {
-    api::SessionConfig Config;
-    Config.Protection = api::Scheme::Mte4JniSync;
-    Config.HeapBytes = 4 << 20;
-    api::Session S(Config);
-    api::ScopedAttach Main(S, "bench");
-    rt::HandleScope Scope(S.runtime());
-    std::string Text(2048, 'x');
-    jni::jstring Str = Main.env().NewStringUTF(Scope, Text.c_str());
-    rt::callNative(Main.thread(), rt::NativeKind::Regular, "pinned_view",
-                   [&] {
-                     jni::PinnedStringChars View(Main.env(), Str);
-                     if (!View.scanMatched())
-                       State.SkipWithError("the view's scan did not match");
-                     int I = 0;
-                     for (auto _ : State) {
-                       benchmark::DoNotOptimize(View.at(I & 2047));
-                       ++I;
-                     }
-                   });
-  }
-  // Building the session's Runtime reset the MTE system, which dropped the
-  // shared arena's region: register it again for the rows that follow.
-  mte::MteSystem::instance().registerRegion(
-      reinterpret_cast<void *>(Shared.begin()), Shared.capacity());
+  api::SessionConfig Config;
+  Config.Protection = api::Scheme::Mte4JniSync;
+  Config.HeapBytes = 4 << 20;
+  api::Session S(Config);
+  api::ScopedAttach Main(S, "bench");
+  rt::HandleScope Scope(S.runtime());
+  std::string Text(2048, 'x');
+  jni::jstring Str = Main.env().NewStringUTF(Scope, Text.c_str());
+  rt::callNative(Main.thread(), rt::NativeKind::Regular, "pinned_view",
+                 [&] {
+                   jni::PinnedStringChars View(Main.env(), Str);
+                   if (!View.scanMatched())
+                     State.SkipWithError("the view's scan did not match");
+                   int I = 0;
+                   for (auto _ : State) {
+                     benchmark::DoNotOptimize(View.at(I & 2047));
+                     ++I;
+                   }
+                 });
 }
 BENCHMARK(BM_LoadPinnedView);
 

@@ -7,7 +7,7 @@
 //
 // Demonstrates §3.1: many native threads concurrently Get/Release the
 // SAME Java array. The reference-counting scheme hands every holder the
-// same tag (watch TagsGenerated vs TagsShared), the tag survives until
+// same tag (watch tags generated vs shared), the tag survives until
 // the last holder releases, and the two-tier locking keeps the whole
 // thing correct under load. A straggler thread that keeps using its
 // pointer after releasing gets caught.
@@ -48,6 +48,9 @@ int main() {
   std::printf("%u threads Get/read/Release the same 1024-int array, %u "
               "times each...\n",
               kThreads, kIters);
+  // The allocator counts into the process-wide metrics registry; the
+  // numbers below are this phase's share.
+  const support::MetricsSnapshot Before = S.metricsSnapshot();
 
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T < kThreads; ++T) {
@@ -73,17 +76,21 @@ int main() {
   for (auto &T : Threads)
     T.join();
 
-  const auto &Stats = S.mtePolicy()->allocator().stats();
+  const support::MetricsSnapshot After = S.metricsSnapshot();
+  auto Count = [&](const char *Name) {
+    return static_cast<unsigned long long>(
+        After.counterValue(Name) - Before.counterValue(Name));
+  };
   std::printf("\nacquires:       %llu\n",
-              static_cast<unsigned long long>(Stats.Acquires.value()));
+              Count("core/tagallocator/acquires"));
   std::printf("tags generated: %llu  (IRG — first holder of a quiet "
               "object)\n",
-              static_cast<unsigned long long>(Stats.TagsGenerated.value()));
+              Count("core/tagallocator/tags_generated"));
   std::printf("tags shared:    %llu  (LDG — joined concurrent holders, "
               "§3.1's whole point)\n",
-              static_cast<unsigned long long>(Stats.TagsShared.value()));
+              Count("core/tagallocator/tags_shared"));
   std::printf("tags cleared:   %llu  (last holder released)\n",
-              static_cast<unsigned long long>(Stats.TagsCleared.value()));
+              Count("core/tagallocator/tags_cleared"));
   std::printf("faults:         %llu  (expected 0 — concurrent in-bounds "
               "reads are clean)\n",
               static_cast<unsigned long long>(S.faults().totalCount()));

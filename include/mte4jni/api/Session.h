@@ -72,9 +72,9 @@ struct SessionConfig {
   /// reclaimed when the object is freed, swept or moved (the session hooks
   /// rt::JavaHeap's freed-range callback) and when the resident-bytes
   /// budget overflows. Off reproduces the paper's exact Algorithm 2 (clear
-  /// on last release) for the fig6/fig8 ablations — note the tradeoff:
-  /// deferral narrows use-after-release detection to the post-reclaim
-  /// window.
+  /// on last release); no bench turns it off, the tests of that semantics
+  /// do. Note the tradeoff: deferral narrows use-after-release detection
+  /// to the post-reclaim window.
   bool DeferredTagClear = true;
 
   uint64_t HeapBytes = 64ull << 20;
@@ -129,7 +129,10 @@ public:
   mte::FaultLog &faults();
 
   /// Human-readable end-of-run summary: heap, GC, MTE-instruction and
-  /// policy statistics. Handy at the end of examples and benchmarks.
+  /// policy statistics. Handy at the end of examples and benchmarks. The
+  /// MTE and policy counts are this session's: registry deltas from a
+  /// snapshot taken at construction, or counts since the last
+  /// Metrics::resetAll() when one ran during the session.
   std::string statsReport() const;
 
   /// Point-in-time aggregation of the process-wide metrics registry
@@ -153,6 +156,9 @@ private:
   std::unique_ptr<jni::CheckPolicy> Policy;
   core::Mte4JniPolicy *MtePolicy = nullptr;
   guarded::GuardedCopyPolicy *GuardedPolicy = nullptr;
+  /// Registry state at construction, the base statsReport counts from.
+  support::MetricsSnapshot Baseline;
+  uint64_t BaselineResets = 0;
 };
 
 /// RAII: attach the current thread to a session's runtime and give it an

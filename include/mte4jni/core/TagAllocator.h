@@ -85,20 +85,6 @@ struct TagAllocatorOptions {
   uint64_t MaxResidentBytes = 8ull << 20;
 };
 
-/// Per-instance counters. Sharded (support::Counter) rather than plain
-/// atomics: Acquires/TagsShared/Releases sit on the lock-free fast path,
-/// where a locked RMW costs as much as the acquire CAS itself on the
-/// virtualised hosts we bench on. Sharded adds are exact — read with
-/// value(), which sums once writers are quiescent.
-struct TagAllocatorStats {
-  support::Counter Acquires;
-  support::Counter TagsGenerated;  ///< IRG path (first holder)
-  support::Counter TagsShared;     ///< LDG path (concurrent holder)
-  support::Counter Releases;
-  support::Counter TagsCleared;    ///< refcount hit zero
-  support::Counter OrphanReleases; ///< release with no entry
-};
-
 class TagAllocator {
 public:
   /// Like Algorithm 2 as published, the table never erases an entry: the
@@ -134,7 +120,6 @@ public:
 
   bool deferredTagClear() const { return DeferredTagClear; }
 
-  const TagAllocatorStats &stats() const { return Stats; }
   TagTable &table() { return Table; }
 
 private:
@@ -158,7 +143,6 @@ private:
   bool DeferredTagClear = false;
   TagTable Table;
   std::mutex GlobalMutex; ///< used only by TagTableKind::GlobalLock
-  TagAllocatorStats Stats;
   /// Identity of this allocator in the per-ThreadState slot memo. Drawn
   /// from a process-wide monotonic counter and never reused, so a memo
   /// entry left behind by a destroyed allocator can never validate

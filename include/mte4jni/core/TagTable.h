@@ -104,22 +104,6 @@ enum class TagTableKind : uint8_t {
 
 const char *tagTableKindName(TagTableKind Kind);
 
-/// Aggregate counters for contention analysis (ablation benches).
-///
-/// Accounting rules — identical for every TagTableKind so m4jstat diffs
-/// are comparable across ablations:
-///
-///   * Lookups: every keyed operation that consults a shard under its
-///     table lock — lookupOrCreate, lookup and slotLocked each count
-///     exactly one. The lock-free CAS fast paths (and probeSlot)
-///     deliberately count nothing: they write nothing shared beyond the
-///     slot they touch.
-///   * Creates: one per new entry — a map emplace or a slot claim.
-struct TagTableStats {
-  uint64_t Lookups = 0;
-  uint64_t Creates = 0;
-};
-
 class TagTable {
 public:
   // ==== locked representation (TwoTierMutex / GlobalLock / overflow) ====
@@ -192,7 +176,6 @@ public:
 
   TagTableKind kind() const { return Kind; }
   unsigned numTables() const { return NumTables; }
-  unsigned slotsPerShard() const { return SlotMask ? SlotMask + 1 : 0; }
 
   // ==== locked API (all kinds; for LockFree this is the overflow map) ====
 
@@ -321,9 +304,6 @@ public:
   /// tags are cleared (exact release or reclaim); the warm
   /// acquire/release cycle never touches it.
   uint64_t residentBytes() const;
-  uint64_t residentBudgetBytes() const {
-    return ShardResidentBudget ? ShardResidentBudget * NumTables : 0;
-  }
 
   /// Budget bookkeeping for the slot slow paths (no-ops when deferral is
   /// off): the first holder charges its bytes when it publishes the tags;
@@ -350,10 +330,9 @@ public:
 
   /// Structural occupancy: every map entry plus every claimed slot,
   /// including released-but-kept tuples (Algorithm 2 as published leaves
-  /// them in place for reuse).
+  /// them in place for reuse). Keys are never erased, so this is also the
+  /// number of entries ever created.
   size_t occupiedEntries() const;
-
-  TagTableStats stats() const;
 
 private:
   struct Shard {
@@ -361,7 +340,6 @@ private:
     /// TwoTierMutex/GlobalLock: every entry. LockFree: overflow only.
     /// Node-based, so an Entry never moves once emplaced.
     std::unordered_map<uint64_t, Entry> Map;
-    TagTableStats Stats;
     /// LockFree only; null otherwise.
     std::unique_ptr<Slot[]> Slots;
     /// Bytes with resident tags in this shard, held or lingering: charged

@@ -24,6 +24,11 @@
 /// invisible; writes that skip past the red zones are invisible; detection
 /// is deferred to release.
 ///
+/// Counts go to the metrics registry: guarded/acquires, guarded/releases
+/// (a JNI_COMMIT release keeps the copy live and is not one),
+/// guarded/bytes_copied (both directions) and
+/// guarded/corruptions_detected.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MTE4JNI_GUARDED_GUARDEDCOPY_H
@@ -43,13 +48,6 @@ struct GuardedCopyOptions {
   uint64_t RedZoneBytes = 2048;
 };
 
-struct GuardedCopyStats {
-  uint64_t Acquires = 0;
-  uint64_t Releases = 0;
-  uint64_t BytesCopied = 0;
-  uint64_t CorruptionsDetected = 0;
-};
-
 class GuardedCopyPolicy final : public jni::CheckPolicy {
 public:
   explicit GuardedCopyPolicy(const GuardedCopyOptions &Options = {});
@@ -66,8 +64,6 @@ public:
                       const char *Interface) override;
 
   bool exposesDirectPointers() const override { return false; }
-
-  GuardedCopyStats stats() const;
 
   /// The canary pattern the red zones are filled with (ART uses a
   /// recognisable ASCII string so hex dumps are self-describing).
@@ -95,7 +91,6 @@ private:
 
   mutable support::SpinLock Lock;
   std::unordered_map<uint64_t, Block> Live; ///< returned bits -> block
-  GuardedCopyStats Stats;
 };
 
 } // namespace mte4jni::guarded

@@ -8,7 +8,8 @@
 /// \file
 /// The process-wide face of the MTE simulator: registered PROT_MTE regions,
 /// the prctl-style default check mode, the GCR exclude mask used by IRG,
-/// the fault log/handler, and global instruction statistics.
+/// and the fault log/handler. Instruction and fault counts live in the
+/// metrics registry (mte/instr/*, mte/access/mismatch_*, mte/fault/*).
 ///
 /// Mirrors of real interfaces:
 ///   * registerRegion            <-> mmap/mprotect with PROT_MTE (§4.1)
@@ -34,26 +35,6 @@
 namespace mte4jni::mte {
 
 class MteSystem;
-
-/// Counters over simulated MTE instructions; cold-path only (tagging and
-/// mismatch events), so they do not distort benchmark fast paths.
-struct MteStats {
-  std::atomic<uint64_t> IrgCount{0};
-  std::atomic<uint64_t> StgGranules{0};
-  std::atomic<uint64_t> LdgCount{0};
-  std::atomic<uint64_t> SyncFaults{0};
-  std::atomic<uint64_t> AsyncFaultsLatched{0};
-  std::atomic<uint64_t> AsyncFaultsDelivered{0};
-
-  void reset() {
-    IrgCount = 0;
-    StgGranules = 0;
-    LdgCount = 0;
-    SyncFaults = 0;
-    AsyncFaultsLatched = 0;
-    AsyncFaultsDelivered = 0;
-  }
-};
 
 /// RAII read-side critical section over the region snapshot. Construction
 /// publishes the observed publish epoch into the calling thread's epoch
@@ -91,10 +72,12 @@ public:
   MteSystem(const MteSystem &) = delete;
   MteSystem &operator=(const MteSystem &) = delete;
 
-  /// Restores pristine state: no regions, mode None, empty fault log,
-  /// default exclude mask. Thread TCO/TCF values of live threads are reset
-  /// too. Intended for tests and for switching schemes between benchmark
-  /// phases.
+  /// Restores the process defaults: mode None, empty fault log, default
+  /// exclude mask, no fault handler. Thread TCO/TCF values of live threads
+  /// are reset too. PROT_MTE regions stay registered: each belongs to
+  /// whoever registered it (a heap, an arena), which unregisters it when
+  /// it dies. Intended for tests and for switching schemes between
+  /// benchmark phases.
   void reset();
 
   // -- prctl analogs ----------------------------------------------------
@@ -145,9 +128,6 @@ public:
 
   /// Records \p Record, invokes the handler, honours FaultAction::Abort.
   void deliverFault(FaultRecord Record);
-
-  // -- statistics ----------------------------------------------------------
-  MteStats &stats() { return Stats; }
 
   // -- thread registry (used by ThreadState) -------------------------------
   void registerThread(ThreadState *State);
@@ -201,8 +181,6 @@ private:
   FaultLog Log;
   std::atomic<FaultHandler> Handler{nullptr};
   std::atomic<void *> HandlerContext{nullptr};
-
-  MteStats Stats;
 
   std::vector<ThreadState *> Threads;
   support::SpinLock ThreadLock;

@@ -7,8 +7,11 @@
 ///
 /// \file
 /// Handle scopes are the GC root set of the mini runtime: objects rooted in
-/// a live scope survive collection. The heap never moves objects, so a
-/// Handle is simply a rooted ObjectHeader pointer.
+/// a live scope survive collection. A Handle is simply a rooted
+/// ObjectHeader pointer. Under GcMode::MarkSweep objects never move; under
+/// GcMode::Compacting the collector slides unpinned survivors and rewrites
+/// every scope's root slots, so only a pointer re-read from its scope
+/// (or one JNI-pinned across the collection) stays valid.
 ///
 //===----------------------------------------------------------------------===//
 

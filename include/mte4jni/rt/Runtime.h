@@ -82,7 +82,8 @@ public:
   /// Allocates and roots an Object[] of null slots.
   ObjectHeader *newRefArray(HandleScope &Scope, uint32_t Length);
 
-  /// Allocates and roots a string.
+  /// Allocates and roots a string. Every factory call collects and
+  /// retries once before reporting OutOfMemoryError (null).
   ObjectHeader *newString(HandleScope &Scope, std::u16string_view Units);
   ObjectHeader *newStringUtf8(HandleScope &Scope, std::string_view Utf8);
 
@@ -189,6 +190,12 @@ private:
 
   /// Notifies the pause owner, under PauseLock, that a claim was released.
   M4J_NOINLINE void wakeCollector();
+
+  /// The object factory's one path: runs \p Alloc (JavaHeap & ->
+  /// ObjectHeader *) and roots its result inside a critical section; when
+  /// the heap is full, collects once and retries before returning null.
+  template <typename AllocFn>
+  ObjectHeader *allocRooted(HandleScope &Scope, AllocFn Alloc);
 
   RuntimeConfig Config;
   /// Never reused, unlike the address: see JavaThread::RuntimeId.

@@ -32,21 +32,14 @@
 #define M4J_NOINLINE
 #endif
 
-/// Assertion macro. Unlike plain assert(), it survives NDEBUG builds for the
-/// checks that guard simulator invariants; benchmarks compile with
-/// M4J_NO_CHECKS to drop it.
-#ifndef M4J_NO_CHECKS
+/// Assertion macro. Unlike plain assert(), it stays in NDEBUG builds: these
+/// checks guard simulator invariants.
 #define M4J_ASSERT(Cond, Msg)                                                  \
   do {                                                                         \
     if (M4J_UNLIKELY(!(Cond))) {                                               \
       ::mte4jni::support::assertFail(#Cond, Msg, __FILE__, __LINE__);          \
     }                                                                          \
   } while (false)
-#else
-#define M4J_ASSERT(Cond, Msg)                                                  \
-  do {                                                                         \
-  } while (false)
-#endif
 
 #define M4J_UNREACHABLE(Msg)                                                   \
   ::mte4jni::support::unreachableHit(Msg, __FILE__, __LINE__)

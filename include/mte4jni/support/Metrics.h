@@ -314,11 +314,11 @@ struct MetricsSnapshot {
 };
 
 /// A derived counter's read callback (capture-free: evaluated at snapshot
-/// time, typically summing other counters or mirroring existing stats).
+/// time, summing other counters or per-thread cells).
 using DerivedCounterFn = uint64_t (*)();
 
-/// A derived counter's reset callback, for sources resetAll() cannot zero
-/// itself; it typically records a baseline the read callback subtracts.
+/// A derived counter's reset callback, for per-thread cells resetAll()
+/// must not write; it records a baseline the read callback subtracts.
 using DerivedResetFn = void (*)();
 
 /// The process-wide registry façade.
@@ -334,10 +334,12 @@ public:
 
   /// Registers a zero-hot-path-cost counter whose value is computed by
   /// \p Fn at snapshot time — for aggregates over per-path counters
-  /// ("acquires" = fast + slow + ...) and mirrors of stats the code
-  /// already maintains (the MTE instruction counts). Re-registering a
-  /// name replaces the callbacks (idempotent registration). resetAll()
-  /// calls \p Reset, when given, outside the registry lock.
+  /// ("acquires" = fast + slow + ...) and for the per-thread access cells
+  /// of mte::ThreadState. Either kind must read 0 after resetAll(): a sum
+  /// of registry counters does by construction, anything else needs
+  /// \p Reset. Re-registering a name replaces the callbacks (idempotent
+  /// registration). resetAll() calls \p Reset, when given, outside the
+  /// registry lock.
   static void registerDerived(const char *Name, DerivedCounterFn Fn,
                               DerivedResetFn Reset = nullptr);
 
@@ -347,8 +349,13 @@ public:
 
   /// Zeroes every registered metric (derived ones through their reset
   /// callback) and clears the fault ring. For tests and benchmark phase
-  /// boundaries; registration is never undone.
+  /// boundaries; registration is never undone. The registry is the only
+  /// counter store, so after this every counter reads 0.
   static void resetAll();
+
+  /// Number of completed resetAll() calls: a reader that keeps a baseline
+  /// snapshot checks it to tell whether the baseline still applies.
+  static uint64_t resetCount();
 };
 
 /// Escapes \p Text for embedding in a JSON string literal.

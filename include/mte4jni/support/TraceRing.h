@@ -14,8 +14,7 @@
 /// events per thread are available after the fact — from a tombstone, a
 /// bench run, or a hung process — without having asked in advance.
 ///
-/// Three observability levels, runtime-selectable and capped by the
-/// compile-time M4J_OBS_LEVEL:
+/// Three observability levels, selected at run time:
 ///
 ///   0 (Off)      hot paths pay one relaxed load + predicted branch
 ///   1 (Sampled)  default; hot events and latency samples at ~1/64
@@ -50,13 +49,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-
-/// Compile-time observability ceiling: 0 compiles every hook out, 1 allows
-/// sampling, 2 allows full capture. Runtime requests above the ceiling are
-/// clamped down in obs::setLevel.
-#ifndef M4J_OBS_LEVEL
-#define M4J_OBS_LEVEL 2
-#endif
 
 namespace mte4jni::support {
 
@@ -136,7 +128,7 @@ extern std::atomic<uint8_t> LevelFlag;
 /// the full 2^32 period from any seed.
 extern thread_local constinit uint32_t SampleLcg;
 
-/// Sets the runtime level, clamped to the compile-time M4J_OBS_LEVEL.
+/// Sets the runtime level (values above 2 mean 2).
 void setLevel(unsigned Level);
 unsigned level();
 
@@ -153,33 +145,16 @@ M4J_ALWAYS_INLINE bool sampleTick() {
 /// Gate for hot-path events: false at level 0, ~1/64 at level 1, always
 /// at level 2.
 M4J_ALWAYS_INLINE bool armSampled() {
-#if M4J_OBS_LEVEL == 0
-  return false;
-#else
   unsigned L = LevelFlag.load(std::memory_order_relaxed);
   if (M4J_LIKELY(L == 1))
     return sampleTick();
   return L != 0;
-#endif
 }
 
 /// Gate for cold events (GC phases, TLAB refills, faults): recorded at
 /// every level except Off.
 M4J_ALWAYS_INLINE bool coldArmed() {
-#if M4J_OBS_LEVEL == 0
-  return false;
-#else
   return LevelFlag.load(std::memory_order_relaxed) != 0;
-#endif
-}
-
-/// True only in Full mode — for fast-path events too cheap to sample.
-M4J_ALWAYS_INLINE bool fullOn() {
-#if M4J_OBS_LEVEL < 2
-  return false;
-#else
-  return LevelFlag.load(std::memory_order_relaxed) == 2;
-#endif
 }
 
 } // namespace obs

@@ -32,6 +32,8 @@ Session::Session(const SessionConfig &Config) : Config(Config) {
   // Process-wide like the metrics registry: the last-constructed session's
   // mode wins, which is what the single-session tools and benches expect.
   support::obs::setMode(Config.TraceMode);
+  BaselineResets = support::Metrics::resetCount();
+  Baseline = support::Metrics::snapshot();
 
   const bool IsMte = Config.Protection == Scheme::Mte4JniSync ||
                      Config.Protection == Scheme::Mte4JniAsync;
@@ -131,39 +133,44 @@ std::string Session::statsReport() const {
       "gc: %llu cycles completed\n",
       static_cast<unsigned long long>(Runtime->gc().completedCycles()));
 
-  const mte::MteStats &MS = mte::MteSystem::instance().stats();
+  // This session's counts: deltas from the construction-time baseline, or
+  // counts since the last resetAll() if one ran since (the baseline no
+  // longer applies then). A reset racing this read shows as a count below
+  // its base, which reads as counted from the reset, never wrapped.
+  const bool Rebased = support::Metrics::resetCount() != BaselineResets;
+  const support::MetricsSnapshot Now = support::Metrics::snapshot();
+  auto Count = [&](const char *Name) -> unsigned long long {
+    uint64_t Value = Now.counterValue(Name);
+    uint64_t Base = Rebased ? 0 : Baseline.counterValue(Name);
+    return Value >= Base ? Value - Base : Value;
+  };
+
   Out += support::format(
       "mte: %llu irg, %llu granules tagged, %llu ldg, %llu sync faults, "
       "%llu/%llu async latched/delivered\n",
-      static_cast<unsigned long long>(MS.IrgCount.load()),
-      static_cast<unsigned long long>(MS.StgGranules.load()),
-      static_cast<unsigned long long>(MS.LdgCount.load()),
-      static_cast<unsigned long long>(MS.SyncFaults.load()),
-      static_cast<unsigned long long>(MS.AsyncFaultsLatched.load()),
-      static_cast<unsigned long long>(MS.AsyncFaultsDelivered.load()));
+      Count("mte/instr/irg"), Count("mte/instr/stg_granules"),
+      Count("mte/instr/ldg"), Count("mte/access/mismatch_sync"),
+      Count("mte/access/mismatch_async"), Count("mte/fault/async_delivered"));
 
   if (MtePolicy) {
-    const core::TagAllocatorStats &TS = MtePolicy->allocator().stats();
     Out += support::format(
         "mte4jni: %llu acquires (%llu generated / %llu shared), "
         "%llu releases, %llu tags cleared, tag table %s, k=%u\n",
-        static_cast<unsigned long long>(TS.Acquires.value()),
-        static_cast<unsigned long long>(TS.TagsGenerated.value()),
-        static_cast<unsigned long long>(TS.TagsShared.value()),
-        static_cast<unsigned long long>(TS.Releases.value()),
-        static_cast<unsigned long long>(TS.TagsCleared.value()),
+        Count("core/tagallocator/acquires"),
+        Count("core/tagallocator/tags_generated"),
+        Count("core/tagallocator/tags_shared"),
+        Count("core/tagallocator/releases"),
+        Count("core/tagallocator/tags_cleared"),
         core::tagTableKindName(MtePolicy->allocator().tableKind()),
         MtePolicy->allocator().table().numTables());
   }
   if (GuardedPolicy) {
-    guarded::GuardedCopyStats GS = GuardedPolicy->stats();
     Out += support::format(
         "guarded-copy: %llu acquires, %llu releases, %s copied, "
         "%llu corruptions detected\n",
-        static_cast<unsigned long long>(GS.Acquires),
-        static_cast<unsigned long long>(GS.Releases),
-        support::humanBytes(GS.BytesCopied).c_str(),
-        static_cast<unsigned long long>(GS.CorruptionsDetected));
+        Count("guarded/acquires"), Count("guarded/releases"),
+        support::humanBytes(Count("guarded/bytes_copied")).c_str(),
+        Count("guarded/corruptions_detected"));
   }
   Out += support::format(
       "faults recorded: %llu\n",

@@ -23,10 +23,11 @@ namespace {
 /// CAS fast path vs the shard-mutex slow path vs the overflow (spill-map)
 /// fallback.
 ///
-/// Cost discipline: the lock-free fast paths pay exactly ONE sharded
-/// relaxed add each (via the Counter references TagAllocator caches at
-/// construction); everything here is touched only from paths that already
-/// take a mutex or CAS-retry. The aggregate metrics the exporters show
+/// Cost discipline: the lock-free fast paths pay one sharded relaxed add
+/// each (via the Counter references TagAllocator caches at construction),
+/// plus one for a warm re-acquire or a deferred release; everything else
+/// here is touched only from paths that already take a mutex or
+/// CAS-retry. The aggregate metrics the exporters show
 /// ("core/tagallocator/acquires", "releases", "tags_shared") are derived
 /// counters: computed at snapshot time from the per-path counters, so the
 /// hot paths never bump them.
@@ -233,7 +234,6 @@ mte::TagValue TagAllocator::generateAndApplyTag(uint64_t Begin,
   mte::setTagRange(
       mte::TaggedPtr<void>::fromRaw(reinterpret_cast<void *>(Begin), Tag),
       End - Begin);
-  Stats.TagsGenerated.add();
   allocMetrics().TagsGenerated.add();
   return Tag;
 }
@@ -259,7 +259,6 @@ uint64_t TagAllocator::acquire(uint64_t Begin, uint64_t End) {
   M4J_ASSERT(Begin <= End, "inverted range");
   support::FlightScope Flight(support::FlightKind::TagAcquire,
                               initialFlightOutcome(Kind));
-  Stats.Acquires.add();
 
   switch (Kind) {
   case TagTableKind::LockFree: {
@@ -273,7 +272,6 @@ uint64_t TagAllocator::acquire(uint64_t Begin, uint64_t End) {
       countSlowReason(classifyAcquireSlow(S), &Flight);
       return acquireLockFreeSlow(Begin, End, Flight);
     }
-    Stats.TagsShared.add();
     FastAcquireMetric.add();
     if (Warm)
       allocMetrics().LfAcquireWarm.add();
@@ -314,7 +312,6 @@ uint64_t TagAllocator::acquireLockFreeSlow(uint64_t Begin, uint64_t End,
           if (Table.acquireFast(*S, Begin, Warm)) {
             mte::ThreadState::current().tagSlotMemoStore(MemoOwnerId, Begin,
                                                          S);
-            Stats.TagsShared.add();
             allocMetrics().TagsSharedSlow.add();
             if (Warm)
               allocMetrics().LfAcquireWarm.add();
@@ -367,7 +364,6 @@ uint64_t TagAllocator::acquireTwoTier(uint64_t Begin, uint64_t End) {
       // Another native thread already tagged this object: share its tag
       // by loading it back with LDG.
       Tag = mte::ldgTag(Begin);
-      Stats.TagsShared.add();
       allocMetrics().TagsSharedSlow.add();
     } else {
       Tag = generateAndApplyTag(Begin, End);
@@ -383,7 +379,6 @@ void TagAllocator::release(uint64_t Begin, uint64_t End) {
   End = mte::addressOf(End);
   support::FlightScope Flight(support::FlightKind::TagRelease,
                               initialFlightOutcome(Kind));
-  Stats.Releases.add();
 
   switch (Kind) {
   case TagTableKind::LockFree: {
@@ -435,7 +430,6 @@ void TagAllocator::releaseLockFreeSlow(uint64_t Begin, uint64_t End,
         if (Count == 0) {
           // Already released (double release); tolerated like the paper's
           // "nothing needs to be done" path.
-          Stats.OrphanReleases.add();
           allocMetrics().OrphanReleases.add();
           return;
         }
@@ -462,7 +456,6 @@ void TagAllocator::releaseLockFreeSlow(uint64_t Begin, uint64_t End,
           mte::clearTagRange(Begin, End - Begin);
           // Refund the publish-time budget charge: the tags left.
           Table.unchargeResident(Begin, End - Begin);
-          Stats.TagsCleared.add();
           allocMetrics().TagsCleared.add();
           return;
         }
@@ -480,7 +473,6 @@ void TagAllocator::releaseTwoTier(uint64_t Begin, uint64_t End) {
   // object no Get interface tagged).
   TagTable::Entry *Entry = Table.lookup(Begin);
   if (!Entry) {
-    Stats.OrphanReleases.add();
     allocMetrics().OrphanReleases.add();
     return;
   }
@@ -491,13 +483,11 @@ void TagAllocator::releaseTwoTier(uint64_t Begin, uint64_t End) {
   if (Entry->RefCount == 0) {
     // Already released (double release); tolerated like the paper's
     // "nothing needs to be done" path.
-    Stats.OrphanReleases.add();
     allocMetrics().OrphanReleases.add();
     return;
   }
   if (--Entry->RefCount == 0) {
     mte::clearTagRange(Begin, End - Begin);
-    Stats.TagsCleared.add();
     allocMetrics().TagsCleared.add();
   }
 }
@@ -509,19 +499,15 @@ bool TagAllocator::reclaimRange(uint64_t Begin, uint64_t End) {
   if (R.Slots == 0)
     return false;
   // A reclaim completes what a deferred release postponed, so it is where
-  // tags_cleared catches up: after a full drain TagsGenerated ==
-  // TagsCleared again, exactly as under the paper's eager Algorithm 2.
-  Stats.TagsCleared.add(R.Slots);
+  // tags_cleared catches up: after a full drain tags_generated ==
+  // tags_cleared again, exactly as under the paper's eager Algorithm 2.
   allocMetrics().TagsCleared.add(R.Slots);
   return true;
 }
 
 uint64_t TagAllocator::reclaimAll() {
   TagTable::ReclaimResult R = Table.reclaimAllResident();
-  if (R.Slots > 0) {
-    Stats.TagsCleared.add(R.Slots);
-    allocMetrics().TagsCleared.add(R.Slots);
-  }
+  allocMetrics().TagsCleared.add(R.Slots);
   return R.Slots;
 }
 

@@ -56,17 +56,12 @@ TagTable::TagTable(unsigned NumTables, TagTableKind Kind,
 TagTable::Entry &TagTable::lookupOrCreate(uint64_t Begin) {
   Shard &S = *Shards[shardIndexOf(Begin)];
   std::lock_guard<std::mutex> TableGuard(S.TableLock);
-  ++S.Stats.Lookups;
-  auto [It, Created] = S.Map.try_emplace(Begin);
-  if (Created)
-    ++S.Stats.Creates;
-  return It->second;
+  return S.Map.try_emplace(Begin).first->second;
 }
 
 TagTable::Entry *TagTable::lookup(uint64_t Begin) {
   Shard &S = *Shards[shardIndexOf(Begin)];
   std::lock_guard<std::mutex> TableGuard(S.TableLock);
-  ++S.Stats.Lookups;
   auto It = S.Map.find(Begin);
   return It != S.Map.end() ? &It->second : nullptr;
 }
@@ -115,7 +110,6 @@ TagTable::Slot *TagTable::slotLocked(uint64_t Begin, bool Create,
   if (!SlotMask || Begin == kEmptyKey)
     return nullptr;
   Shard &S = *Shards[shardIndexOf(Begin)];
-  ++S.Stats.Lookups;
   size_t Home = slotHomeOf(Begin);
   for (unsigned I = 0; I < kProbeWindow; ++I) {
     Slot &Candidate = S.Slots[(Home + I) & SlotMask];
@@ -129,7 +123,6 @@ TagTable::Slot *TagTable::slotLocked(uint64_t Begin, bool Create,
     // A key that spilled to the overflow map found its whole window
     // claimed, and claimed slots stay claimed, so it never reaches here:
     // one object cannot end up with two reference counts.
-    ++S.Stats.Creates;
     // Release-publish the key so lock-free probes see a claimed slot.
     Candidate.Key.store(Begin, std::memory_order_release);
     return &Candidate;
@@ -245,16 +238,6 @@ size_t TagTable::occupiedEntries() const {
       for (size_t I = 0; I <= SlotMask; ++I)
         if (S->Slots[I].Key.load(std::memory_order_relaxed) != kEmptyKey)
           ++Total;
-  }
-  return Total;
-}
-
-TagTableStats TagTable::stats() const {
-  TagTableStats Total;
-  for (const auto &S : Shards) {
-    std::lock_guard<std::mutex> Guard(S->TableLock);
-    Total.Lookups += S->Stats.Lookups;
-    Total.Creates += S->Stats.Creates;
   }
   return Total;
 }

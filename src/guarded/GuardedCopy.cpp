@@ -11,6 +11,7 @@
 #include "mte4jni/mte/ThreadState.h"
 #include "mte4jni/support/Backtrace.h"
 #include "mte4jni/support/Logging.h"
+#include "mte4jni/support/Metrics.h"
 #include "mte4jni/support/StringUtils.h"
 
 #include <algorithm>
@@ -64,6 +65,20 @@ int64_t scanCanary(const uint8_t *Zone, uint64_t Bytes) {
     Offset += Chunk;
   }
   return -1;
+}
+
+struct GuardedMetrics {
+  support::Counter &Acquires = support::Metrics::counter("guarded/acquires");
+  support::Counter &Releases = support::Metrics::counter("guarded/releases");
+  support::Counter &BytesCopied =
+      support::Metrics::counter("guarded/bytes_copied");
+  support::Counter &CorruptionsDetected =
+      support::Metrics::counter("guarded/corruptions_detected");
+};
+
+GuardedMetrics &guardedMetrics() {
+  static GuardedMetrics M;
+  return M;
 }
 } // namespace
 
@@ -124,9 +139,9 @@ uint64_t GuardedCopyPolicy::acquire(const jni::JniBufferInfo &Info,
   {
     std::lock_guard<support::SpinLock> Guard(Lock);
     Live.emplace(Bits, B);
-    ++Stats.Acquires;
-    Stats.BytesCopied += Info.Bytes;
   }
+  guardedMetrics().Acquires.add();
+  guardedMetrics().BytesCopied.add(Info.Bytes);
   return Bits;
 }
 
@@ -153,10 +168,7 @@ bool GuardedCopyPolicy::verifyRedZones(const Block &B,
 void GuardedCopyPolicy::reportCorruption(const jni::JniBufferInfo &Info,
                                          const Block &B, int64_t Offset,
                                          const char *Interface) {
-  {
-    std::lock_guard<support::SpinLock> Guard(Lock);
-    ++Stats.CorruptionsDetected;
-  }
+  guardedMetrics().CorruptionsDetected.add();
   // CheckJNI aborts the runtime at the release call; the backtrace
   // therefore shows the abort machinery, not the faulting native write
   // (Figure 4a).
@@ -203,7 +215,6 @@ void GuardedCopyPolicy::destroyBlock(const jni::JniBufferInfo &Info,
     }
     B = It->second;
     Live.erase(It);
-    ++Stats.Releases;
   }
 
   int64_t Offset = 0;
@@ -224,17 +235,16 @@ void GuardedCopyPolicy::destroyBlock(const jni::JniBufferInfo &Info,
   if (CopyBack && Mode != jni::JNI_ABORT && B.OriginalData != 0) {
     std::memcpy(reinterpret_cast<void *>(B.OriginalData),
                 B.Allocation + Options.RedZoneBytes, B.PayloadBytes);
-    std::lock_guard<support::SpinLock> Guard(Lock);
-    Stats.BytesCopied += B.PayloadBytes;
+    guardedMetrics().BytesCopied.add(B.PayloadBytes);
   }
 
   if (Mode != jni::JNI_COMMIT) {
     std::free(B.Allocation);
+    guardedMetrics().Releases.add();
   } else {
     // JNI_COMMIT: copy back but keep the buffer live for further use.
     std::lock_guard<support::SpinLock> Guard(Lock);
     Live.emplace(Bits, B);
-    --Stats.Releases;
   }
 }
 
@@ -251,9 +261,11 @@ uint64_t GuardedCopyPolicy::acquireScratch(uint64_t Bytes,
   B.Allocation = reinterpret_cast<uint8_t *>(Bits) - Options.RedZoneBytes;
   B.PayloadBytes = Bytes;
   B.OriginalData = 0;
-  std::lock_guard<support::SpinLock> Guard(Lock);
-  Live.emplace(Bits, B);
-  ++Stats.Acquires;
+  {
+    std::lock_guard<support::SpinLock> Guard(Lock);
+    Live.emplace(Bits, B);
+  }
+  guardedMetrics().Acquires.add();
   return Bits;
 }
 
@@ -263,11 +275,6 @@ void GuardedCopyPolicy::releaseScratch(uint64_t NativeBits, uint64_t Bytes,
   jni::JniBufferInfo Info;
   Info.Interface = Interface;
   destroyBlock(Info, NativeBits, /*Mode=*/0, Interface, /*CopyBack=*/false);
-}
-
-GuardedCopyStats GuardedCopyPolicy::stats() const {
-  std::lock_guard<support::SpinLock> Guard(Lock);
-  return Stats;
 }
 
 } // namespace mte4jni::guarded

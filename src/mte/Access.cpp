@@ -81,7 +81,6 @@ M4J_NOINLINE void reportMismatch(ThreadState &TS, uint64_t Address,
     return;
   }
   accessMetrics().MismatchSync.add();
-  System.stats().SyncFaults.fetch_add(1, std::memory_order_relaxed);
   FaultRecord Record;
   Record.Kind = FaultKind::TagMismatchSync;
   Record.HasAddress = true;

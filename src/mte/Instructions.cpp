@@ -17,31 +17,18 @@ namespace mte4jni::mte {
 
 namespace {
 
-/// Simulated-instruction retire counts — the raw tag-op volume behind the
-/// paper's tag-maintenance overhead numbers. IRG/LDG/STG-granule volume is
-/// already counted by the (pre-existing) MteStats atomics on these paths,
-/// so those registry entries are derived counters mirroring MteStats at
-/// snapshot time — zero added cost per retired instruction. Only the
-/// discrete stg/st2g entry points (cold; bulk tagging uses setTagRange)
-/// carry direct counters.
+/// Simulated-instruction retire counts: the raw tag-op volume behind the
+/// paper's tag-maintenance overhead numbers. IRG and LDG count one per
+/// instruction, STG one per granule written (bulk tagging retires a loop
+/// of stg/st2g); the discrete stg/st2g entry points also count their own
+/// calls.
 struct InstrMetrics {
+  support::Counter &Irg = support::Metrics::counter("mte/instr/irg");
+  support::Counter &Ldg = support::Metrics::counter("mte/instr/ldg");
+  support::Counter &StgGranules =
+      support::Metrics::counter("mte/instr/stg_granules");
   support::Counter &Stg = support::Metrics::counter("mte/instr/stg");
   support::Counter &St2g = support::Metrics::counter("mte/instr/st2g");
-
-  InstrMetrics() {
-    support::Metrics::registerDerived("mte/instr/irg", +[] {
-      return MteSystem::instance().stats().IrgCount.load(
-          std::memory_order_relaxed);
-    });
-    support::Metrics::registerDerived("mte/instr/ldg", +[] {
-      return MteSystem::instance().stats().LdgCount.load(
-          std::memory_order_relaxed);
-    });
-    support::Metrics::registerDerived("mte/instr/stg_granules", +[] {
-      return MteSystem::instance().stats().StgGranules.load(
-          std::memory_order_relaxed);
-    });
-  }
 };
 
 InstrMetrics &instrMetrics() {
@@ -49,8 +36,8 @@ InstrMetrics &instrMetrics() {
   return M;
 }
 
-/// Registered at load time so snapshots taken before any stg/st2g call
-/// still include the derived instruction counters.
+/// Registered at load time so snapshots taken before any tag instruction
+/// still include the instruction counters.
 const bool InstrMetricsRegistered = (instrMetrics(), true);
 
 } // namespace
@@ -59,7 +46,7 @@ TagValue irgTag(uint16_t ExtraExclude) {
   MteSystem &System = MteSystem::instance();
   uint16_t Exclude =
       static_cast<uint16_t>(System.irgExcludeMask() | ExtraExclude);
-  System.stats().IrgCount.fetch_add(1, std::memory_order_relaxed);
+  instrMetrics().Irg.add();
 
   uint16_t Allowed = static_cast<uint16_t>(~Exclude);
   if (Allowed == 0)
@@ -84,9 +71,8 @@ TaggedPtr<void> irg(TaggedPtr<void> Ptr, uint16_t ExtraExclude) {
 }
 
 TagValue ldgTag(uint64_t Addr) {
-  MteSystem &System = MteSystem::instance();
-  System.stats().LdgCount.fetch_add(1, std::memory_order_relaxed);
-  return System.memoryTagAt(addressOf(Addr));
+  instrMetrics().Ldg.add();
+  return MteSystem::instance().memoryTagAt(addressOf(Addr));
 }
 
 TaggedPtr<void> ldg(TaggedPtr<void> Ptr) {
@@ -108,9 +94,8 @@ void storeTags(uint64_t Addr, uint64_t Granules, TagValue Tag) {
   M4J_ASSERT(Region != nullptr,
              "tag store to memory not mapped with PROT_MTE");
   uint64_t From = support::alignDown(Addr, kGranuleSize);
-  uint64_t Written =
-      Region->setTagRange(From, From + Granules * kGranuleSize, Tag);
-  System.stats().StgGranules.fetch_add(Written, std::memory_order_relaxed);
+  instrMetrics().StgGranules.add(
+      Region->setTagRange(From, From + Granules * kGranuleSize, Tag));
 }
 
 } // namespace

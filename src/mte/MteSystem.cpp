@@ -139,19 +139,11 @@ size_t MteSystem::retiredSnapshotCount() const {
 }
 
 void MteSystem::reset() {
-  {
-    std::lock_guard<support::SpinLock> Guard(RegionLock);
-    LiveRegions.clear();
-    publishRegions({});
-    // Whatever reclaimRetiredLocked could not prove quiescent stays parked
-    // until the next publish re-runs the scan.
-  }
   ProcessMode.store(CheckMode::None, std::memory_order_relaxed);
   IrgExclude.store(0x0001, std::memory_order_relaxed);
   Handler.store(nullptr, std::memory_order_relaxed);
   HandlerContext.store(nullptr, std::memory_order_relaxed);
   Log.clear();
-  Stats.reset();
   ThreadSeedCounter.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<support::SpinLock> Guard(ThreadLock);

@@ -45,8 +45,6 @@ ThreadState &ThreadState::createCurrent() {
 void ThreadState::latchAsyncFault(uint64_t DebugAddress, TagValue PointerTag,
                                   TagValue MemoryTag, bool IsWrite,
                                   uint32_t Size) {
-  MteSystem::instance().stats().AsyncFaultsLatched.fetch_add(
-      1, std::memory_order_relaxed);
   if (AsyncPending)
     return; // TFSR is a single sticky bit; only the first fault is kept.
   AsyncPending = true;
@@ -79,8 +77,6 @@ void ThreadState::drainAsync(const char *SyscallName) {
   // trace points at getuid() instead of the faulting native method.
   Record.Backtrace = support::FrameStack::current().capture();
 
-  MteSystem::instance().stats().AsyncFaultsDelivered.fetch_add(
-      1, std::memory_order_relaxed);
   static support::Counter &Delivered =
       support::Metrics::counter("mte/fault/async_delivered");
   Delivered.add();

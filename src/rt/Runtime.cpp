@@ -110,11 +110,11 @@ void Runtime::unlinkThread(JavaThread &Thread) {
 // also serialises the root-vector push against snapshotRoots(), which
 // only runs inside a pause.
 
-ObjectHeader *Runtime::newPrimArray(HandleScope &Scope, PrimType Elem,
-                                    uint32_t Length) {
+template <typename AllocFn>
+ObjectHeader *Runtime::allocRooted(HandleScope &Scope, AllocFn Alloc) {
   {
     ScopedCritical Guard(*this);
-    if (ObjectHeader *Obj = Heap->allocPrimArray(Elem, Length))
+    if (ObjectHeader *Obj = Alloc(*Heap))
       return Scope.root(Obj);
   }
   // Like ART: collect and retry once before surfacing OutOfMemoryError.
@@ -122,36 +122,31 @@ ObjectHeader *Runtime::newPrimArray(HandleScope &Scope, PrimType Elem,
   // callNative bracket), so collecting from here cannot self-deadlock.
   Gc->collect();
   ScopedCritical Guard(*this);
-  ObjectHeader *Obj = Heap->allocPrimArray(Elem, Length);
-  if (!Obj)
-    return nullptr; // OutOfMemoryError: never root a null allocation
-  return Scope.root(Obj);
+  // A null allocation (OutOfMemoryError) is never rooted.
+  return Scope.root(Alloc(*Heap));
+}
+
+ObjectHeader *Runtime::newPrimArray(HandleScope &Scope, PrimType Elem,
+                                    uint32_t Length) {
+  return allocRooted(Scope, [&](JavaHeap &H) {
+    return H.allocPrimArray(Elem, Length);
+  });
 }
 
 ObjectHeader *Runtime::newRefArray(HandleScope &Scope, uint32_t Length) {
-  {
-    ScopedCritical Guard(*this);
-    if (ObjectHeader *Obj = Heap->allocRefArray(Length))
-      return Scope.root(Obj);
-  }
-  Gc->collect();
-  ScopedCritical Guard(*this);
-  ObjectHeader *Obj = Heap->allocRefArray(Length);
-  if (!Obj)
-    return nullptr; // OutOfMemoryError: never root a null allocation
-  return Scope.root(Obj);
+  return allocRooted(Scope,
+                     [&](JavaHeap &H) { return H.allocRefArray(Length); });
 }
 
 ObjectHeader *Runtime::newString(HandleScope &Scope,
                                  std::u16string_view Units) {
-  ScopedCritical Guard(*this);
-  return Scope.root(rt::newString(*Heap, Units));
+  return allocRooted(Scope,
+                     [&](JavaHeap &H) { return rt::newString(H, Units); });
 }
 
 ObjectHeader *Runtime::newStringUtf8(HandleScope &Scope,
                                      std::string_view Utf8) {
-  ScopedCritical Guard(*this);
-  return Scope.root(rt::newStringUtf8(*Heap, Utf8));
+  return newString(Scope, utf8ToUtf16(Utf8));
 }
 
 void Runtime::registerScope(HandleScope *Scope) {

@@ -203,6 +203,7 @@ struct Registry {
   std::map<std::string, std::pair<DerivedCounterFn, DerivedResetFn>>
       Derived;
   FaultRing Ring;
+  std::atomic<uint64_t> Resets{0};
 };
 
 /// Leaked on purpose: instrumented call sites hold references from
@@ -321,6 +322,11 @@ void Metrics::resetAll() {
   for (DerivedResetFn Reset : Resets)
     Reset();
   R.Ring.clear();
+  R.Resets.fetch_add(1, std::memory_order_release);
+}
+
+uint64_t Metrics::resetCount() {
+  return registry().Resets.load(std::memory_order_acquire);
 }
 
 // ==== snapshot lookups ====================================================

@@ -25,8 +25,6 @@ thread_local constinit uint32_t SampleLcg = 0;
 void setLevel(unsigned Level) {
   if (Level > 2)
     Level = 2;
-  if (Level > M4J_OBS_LEVEL)
-    Level = M4J_OBS_LEVEL;
   LevelFlag.store(static_cast<uint8_t>(Level), std::memory_order_relaxed);
 }
 
@@ -281,13 +279,6 @@ void appendFormat(std::string &Out, const char *Fmt, ...) {
 
 void FlightRecorder::record(FlightKind Kind, uint8_t Arg, uint32_t Arg2,
                             uint64_t StartNanos, uint64_t DurNanos) {
-#if M4J_OBS_LEVEL == 0
-  (void)Kind;
-  (void)Arg;
-  (void)Arg2;
-  (void)StartNanos;
-  (void)DurNanos;
-#else
   ThreadRing *Ring = claimRing();
   uint64_t Head = Ring->Head.load(std::memory_order_relaxed);
   Slot &S = Ring->Slots[Head % kRingEvents];
@@ -299,17 +290,12 @@ void FlightRecorder::record(FlightKind Kind, uint8_t Arg, uint32_t Arg2,
   // Publish after the payload so the exporter never reads past-the-head
   // garbage in a slot that was never written.
   Ring->Head.store(Head + 1, std::memory_order_release);
-#endif
 }
 
 void FlightRecorder::setThreadLabel(std::string_view Label) {
-#if M4J_OBS_LEVEL == 0
-  (void)Label;
-#else
   ThreadRing *Ring = claimRing();
   std::lock_guard<std::mutex> Guard(registry().Lock);
   Ring->Label.assign(Label);
-#endif
 }
 
 std::string FlightRecorder::exportChromeJson() {

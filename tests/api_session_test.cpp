@@ -9,12 +9,14 @@
 #include "mte4jni/mte/Access.h"
 #include "mte4jni/mte/Instructions.h"
 #include "mte4jni/mte/MteSystem.h"
+#include "mte4jni/mte/TaggedArena.h"
 #include "mte4jni/support/Metrics.h"
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -127,6 +129,135 @@ TEST(Session, GuardedStatsReport) {
             std::string::npos)
       << Report;
   EXPECT_NE(Report.find("0 corruptions"), std::string::npos);
+}
+
+/// Pins one fresh 64-int array \p Pins times in a row under \p S.
+void pinTimes(api::Session &S, int Pins) {
+  api::ScopedAttach Main(S, "main");
+  rt::HandleScope Scope(S.runtime());
+  jni::jarray A = Main.env().NewIntArray(Scope, 64);
+  rt::callNative(Main.thread(), rt::NativeKind::Regular, "pins", [&] {
+    for (int I = 0; I < Pins; ++I) {
+      jni::jboolean IsCopy;
+      auto P = Main.env().GetIntArrayElements(A, &IsCopy);
+      Main.env().ReleaseIntArrayElements(A, P, 0);
+    }
+    return 0;
+  });
+}
+
+TEST(Session, StatsReportCountsOnlyThisSession) {
+  {
+    api::Session First({.Protection = Scheme::Mte4JniSync});
+    pinTimes(First, 3);
+    std::string Report = First.statsReport();
+    EXPECT_NE(Report.find("mte4jni: 3 acquires"), std::string::npos)
+        << Report;
+  }
+  api::Session Second({.Protection = Scheme::Mte4JniSync});
+  pinTimes(Second, 2);
+  // Deferred tag-clear: the second Get re-acquires the lingering tag.
+  std::string Report = Second.statsReport();
+  EXPECT_NE(Report.find("mte: 1 irg,"), std::string::npos) << Report;
+  EXPECT_NE(Report.find("mte4jni: 2 acquires (1 generated / 1 shared), "
+                        "2 releases"),
+            std::string::npos)
+      << Report;
+}
+
+TEST(Session, StatsReportCountsFromAResetDuringTheSession) {
+  support::Metrics::resetAll();
+  {
+    api::Session First({.Protection = Scheme::Mte4JniSync});
+    pinTimes(First, 1);
+  }
+  // The second session's baseline holds one acquire; after the reset the
+  // registry counts from 0, so subtracting that baseline would undercount.
+  api::Session Second({.Protection = Scheme::Mte4JniSync});
+  pinTimes(Second, 3);
+  support::Metrics::resetAll();
+  pinTimes(Second, 2);
+  std::string Report = Second.statsReport();
+  EXPECT_NE(Report.find("mte4jni: 2 acquires"), std::string::npos)
+      << Report;
+}
+
+TEST(Session, ArenaRegionSurvivesASession) {
+  // The arena owns its PROT_MTE region: building and tearing down a
+  // session (whose runtime resets the MTE system) must leave it
+  // registered, and the arena's own destructor unregisters it.
+  mte::MteSystem &System = mte::MteSystem::instance();
+  mte::TaggedArena Arena(1 << 16);
+  void *Buf = Arena.allocate(64);
+  const uint64_t Begin = reinterpret_cast<uint64_t>(Buf);
+  {
+    api::Session S({.Protection = Scheme::Mte4JniSync});
+    EXPECT_TRUE(System.isTaggedAddress(Begin));
+  }
+  ASSERT_TRUE(System.isTaggedAddress(Begin));
+  mte::setTagRange(mte::TaggedPtr<void>::fromRaw(Buf, 5), 64);
+  EXPECT_EQ(mte::ldgTag(Begin), 5);
+  mte::clearTagRange(Begin, 64);
+  Arena.deallocate(Buf);
+}
+
+// The registry is the only counter store: after every kind of counted
+// event, Metrics::resetAll() leaves every counter at 0, and the next event
+// counts from there.
+TEST(MetricsRegistry, ResetAllZeroesEveryCounter) {
+  mte::MteSystem &System = mte::MteSystem::instance();
+  System.reset();
+  mte::TaggedArena Arena(1 << 16);
+  auto *Buf = static_cast<uint8_t *>(Arena.allocate(64));
+  const uint64_t Begin = reinterpret_cast<uint64_t>(Buf);
+
+  (void)mte::irgTag();
+  (void)mte::ldgTag(Begin);
+  mte::setTagRange(mte::TaggedPtr<void>::fromRaw(Buf, 3), 64);
+  mte::clearTagRange(Begin, 64);
+  {
+    core::TagAllocator Alloc;
+    Alloc.acquire(Begin, Begin + 64);
+    Alloc.release(Begin, Begin + 64);
+  }
+  {
+    guarded::GuardedCopyPolicy Policy;
+    std::vector<uint8_t> Payload(32);
+    jni::JniBufferInfo Info;
+    Info.DataBegin = reinterpret_cast<uint64_t>(Payload.data());
+    Info.Bytes = Payload.size();
+    Info.Interface = "ResetAllZeroesEveryCounter";
+    bool IsCopy = false;
+    Policy.release(Info, Policy.acquire(Info, IsCopy), 0);
+  }
+  // One sync mismatch, then one async mismatch delivered at a syscall.
+  mte::setTagRange(mte::TaggedPtr<void>::fromRaw(Buf, 3), 64);
+  const auto Wrong = mte::TaggedPtr<uint8_t>::fromRaw(Buf, 4);
+  System.setProcessCheckMode(mte::CheckMode::Sync);
+  mte::ThreadState::current().setTco(false);
+  (void)mte::load(Wrong);
+  System.setProcessCheckMode(mte::CheckMode::Async);
+  (void)mte::load(Wrong);
+  mte::simulatedSyscall("getuid");
+  System.setProcessCheckMode(mte::CheckMode::None);
+  mte::clearTagRange(Begin, 64);
+
+  support::MetricsSnapshot Before = support::Metrics::snapshot();
+  for (const char *Name :
+       {"mte/instr/irg", "mte/instr/ldg", "mte/instr/stg_granules",
+        "core/tagallocator/acquires", "core/tagallocator/releases",
+        "guarded/acquires", "guarded/releases", "guarded/bytes_copied",
+        "mte/access/checked_loads", "mte/access/mismatch_sync",
+        "mte/access/mismatch_async", "mte/fault/async_delivered"})
+    EXPECT_GT(Before.counterValue(Name), 0u) << Name;
+
+  support::Metrics::resetAll();
+  for (const support::CounterSample &C : support::Metrics::snapshot().Counters)
+    EXPECT_EQ(C.Value, 0u) << C.Name;
+
+  (void)mte::irgTag();
+  EXPECT_EQ(support::Metrics::snapshot().counterValue("mte/instr/irg"), 1u);
+  Arena.deallocate(Buf);
 }
 
 TEST(Session, MetricsSnapshotCoversTheInstrumentedStack) {
@@ -284,6 +415,7 @@ TEST(Session, NestedPinsOfOneArrayShareTheTagUntilTheLastRelease) {
 }
 
 TEST(Session, ReleaseThroughAnotherThreadsEnvEndsThePin) {
+  support::Metrics::resetAll();
   api::Session S(exactMteConfig());
   api::ScopedAttach Main(S, "main");
   rt::HandleScope Scope(S.runtime());
@@ -299,7 +431,9 @@ TEST(Session, ReleaseThroughAnotherThreadsEnvEndsThePin) {
     Other.env().ReleaseIntArrayElements(A, P, 0);
   }).join();
 
-  EXPECT_EQ(S.mtePolicy()->allocator().stats().OrphanReleases.value(), 0u);
+  EXPECT_EQ(S.metricsSnapshot().counterValue(
+                "core/tagallocator/orphan_releases"),
+            0u);
   EXPECT_EQ(mte::taggedGranulesIn(Begin, Bytes), 0u);
   EXPECT_EQ(S.faults().totalCount(), 0u);
 }

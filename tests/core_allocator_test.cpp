@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -34,11 +35,19 @@ using core::TagAllocator;
 using core::TagTable;
 using mte::MteSystem;
 
+/// A core/tagallocator/* registry count. The fixtures below reset the
+/// registry in SetUp, so this is the test's own count.
+uint64_t count(const char *Name) {
+  return support::Metrics::snapshot().counterValue(
+      (std::string("core/tagallocator/") + Name).c_str());
+}
+
 class TagAllocatorTest
     : public ::testing::TestWithParam<core::TagTableKind> {
 protected:
   void SetUp() override {
     MteSystem::instance().reset();
+    support::Metrics::resetAll();
     Arena = std::make_unique<mte::TaggedArena>(4 << 20);
   }
   void TearDown() override {
@@ -77,8 +86,8 @@ TEST_P(TagAllocatorTest, FirstAcquireGeneratesAndAppliesTag) {
   for (int G = 0; G < 4; ++G)
     EXPECT_EQ(mte::ldgTag(Begin + G * 16), Tag);
 
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value(), 1u);
-  EXPECT_EQ(Alloc.stats().TagsShared.value(), 0u);
+  EXPECT_EQ(count("tags_generated"), 1u);
+  EXPECT_EQ(count("tags_shared"), 0u);
 }
 
 TEST_P(TagAllocatorTest, SecondAcquireSharesTheTag) {
@@ -88,26 +97,26 @@ TEST_P(TagAllocatorTest, SecondAcquireSharesTheTag) {
   uint64_t Bits1 = Alloc.acquire(Begin, Begin + 128);
   uint64_t Bits2 = Alloc.acquire(Begin, Begin + 128);
   EXPECT_EQ(Bits1, Bits2); // same tag, same address
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value(), 1u);
-  EXPECT_EQ(Alloc.stats().TagsShared.value(), 1u);
+  EXPECT_EQ(count("tags_generated"), 1u);
+  EXPECT_EQ(count("tags_shared"), 1u);
 
   // Releasing once keeps the tag (refcount 2 -> 1).
   Alloc.release(Begin, Begin + 128);
   EXPECT_EQ(mte::ldgTag(Begin), mte::pointerTagOf(Bits1));
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 0u);
+  EXPECT_EQ(count("tags_cleared"), 0u);
 
   // Last release clears it.
   Alloc.release(Begin, Begin + 128);
   EXPECT_EQ(mte::ldgTag(Begin), 0);
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 1u);
+  EXPECT_EQ(count("tags_cleared"), 1u);
 }
 
 TEST_P(TagAllocatorTest, ReleaseWithoutAcquireIsANoOp) {
   TagAllocator Alloc(GetParam());
   uint64_t Begin = allocRange(32);
   Alloc.release(Begin, Begin + 32);
-  EXPECT_EQ(Alloc.stats().OrphanReleases.value(), 1u);
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 0u);
+  EXPECT_EQ(count("orphan_releases"), 1u);
+  EXPECT_EQ(count("tags_cleared"), 0u);
 }
 
 TEST_P(TagAllocatorTest, DoubleReleaseIsTolerated) {
@@ -116,7 +125,7 @@ TEST_P(TagAllocatorTest, DoubleReleaseIsTolerated) {
   Alloc.acquire(Begin, Begin + 32);
   Alloc.release(Begin, Begin + 32);
   Alloc.release(Begin, Begin + 32); // count already 0
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 1u);
+  EXPECT_EQ(count("tags_cleared"), 1u);
 }
 
 TEST_P(TagAllocatorTest, EntryKeptAfterReleaseAndReused) {
@@ -131,9 +140,10 @@ TEST_P(TagAllocatorTest, EntryKeptAfterReleaseAndReused) {
     EXPECT_EQ(Alloc.table().occupiedEntries(), 1u);
     EXPECT_EQ(Alloc.table().liveEntries(), 0u);
   }
-  EXPECT_EQ(Alloc.table().stats().Creates, 1u);
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value(), 2u);
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 2u);
+  // Keys are never erased, so occupancy is the number of entries created.
+  EXPECT_EQ(Alloc.table().occupiedEntries(), 1u);
+  EXPECT_EQ(count("tags_generated"), 2u);
+  EXPECT_EQ(count("tags_cleared"), 2u);
 }
 
 TEST_P(TagAllocatorTest, UseAfterReleaseFaults) {
@@ -192,20 +202,18 @@ TEST_P(TagAllocatorTest, ConcurrentAcquireReleaseOnSameObject) {
   for (auto &T : Threads)
     T.join();
 
-  EXPECT_EQ(Alloc.stats().Acquires.value(), uint64_t(kThreads) * kIters);
-  EXPECT_EQ(Alloc.stats().Releases.value(), uint64_t(kThreads) * kIters);
+  EXPECT_EQ(count("acquires"), uint64_t(kThreads) * kIters);
+  EXPECT_EQ(count("releases"), uint64_t(kThreads) * kIters);
   // Deferred clear (on by default for the lock-free kind) may leave the
   // last release's tags lingering; drain before the exactness asserts.
   Alloc.reclaimAll();
   EXPECT_EQ(Alloc.table().liveEntries(), 0u);
   EXPECT_EQ(mte::ldgTag(Begin), 0);
   // Shared + generated must cover all acquires.
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value() +
-                Alloc.stats().TagsShared.value(),
+  EXPECT_EQ(count("tags_generated") + count("tags_shared"),
             uint64_t(kThreads) * kIters);
   // Every generated tag is eventually cleared once resident tags drain.
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value(),
-            Alloc.stats().TagsCleared.value());
+  EXPECT_EQ(count("tags_generated"), count("tags_cleared"));
 }
 
 TEST_P(TagAllocatorTest, ConcurrentDisjointObjects) {
@@ -270,35 +278,6 @@ TEST(TagTableTest, LookupOrCreateIsIdempotent) {
   // yet (liveEntries would be 0 here — it counts holders, not storage).
   EXPECT_EQ(Table.occupiedEntries(), 1u);
   EXPECT_EQ(Table.liveEntries(), 0u);
-  EXPECT_EQ(Table.stats().Creates, 1u);
-}
-
-TEST(TagTableTest, StatsAccountingIsExactTwoTier) {
-  // The documented rules: every keyed operation that consults a shard
-  // under its table lock counts exactly one Lookup; Creates one per entry.
-  TagTable Table(4);
-  Table.lookupOrCreate(0x1000); // Lookups 1, Creates 1
-  Table.lookupOrCreate(0x1000); // Lookups 2
-  Table.lookup(0x1000);         // Lookups 3
-  Table.lookup(0x2000);         // Lookups 4 — a miss is still one lookup
-  core::TagTableStats S = Table.stats();
-  EXPECT_EQ(S.Lookups, 4u);
-  EXPECT_EQ(S.Creates, 1u);
-}
-
-TEST(TagTableTest, StatsAccountingIsExactLockFree) {
-  TagTable Table(1, core::TagTableKind::LockFree, 64);
-  {
-    auto Lock = Table.lockShard(0x1000);
-    ASSERT_NE(Table.slotLocked(0x1000, /*Create=*/true, Lock),
-              nullptr);                              // Lookups 1, Creates 1
-    Table.slotLocked(0x1000, /*Create=*/true, Lock); // Lookups 2
-    EXPECT_EQ(Table.slotLocked(0x2000, /*Create=*/false, Lock),
-              nullptr); // Lookups 3 — a miss is still one lookup
-  }
-  core::TagTableStats S = Table.stats();
-  EXPECT_EQ(S.Lookups, 3u);
-  EXPECT_EQ(S.Creates, 1u);
 }
 
 TEST(TagTableTest, WorksWithNonDefaultTableCounts) {
@@ -316,6 +295,7 @@ class DeferredTagClearTest : public ::testing::Test {
 protected:
   void SetUp() override {
     MteSystem::instance().reset();
+    support::Metrics::resetAll();
     Arena = std::make_unique<mte::TaggedArena>(4 << 20);
   }
   void TearDown() override {
@@ -346,15 +326,15 @@ TEST_F(DeferredTagClearTest, ReleaseLeavesTagsResidentUntilReclaim) {
   // Lingering: tags in place, bytes still charged, nothing cleared yet.
   EXPECT_EQ(mte::ldgTag(Begin), mte::pointerTagOf(Bits));
   EXPECT_EQ(Alloc.table().residentBytes(), 64u);
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 0u);
+  EXPECT_EQ(count("tags_cleared"), 0u);
 
   // Warm re-acquire: same tag, shared (not regenerated). The charge stays
   // in place — only clearing the tags refunds it — which is what keeps
   // the warm cycle down to one CAS per direction.
   uint64_t Bits2 = Alloc.acquire(Begin, Begin + 64);
   EXPECT_EQ(Bits2, Bits);
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value(), 1u);
-  EXPECT_EQ(Alloc.stats().TagsShared.value(), 1u);
+  EXPECT_EQ(count("tags_generated"), 1u);
+  EXPECT_EQ(count("tags_shared"), 1u);
   EXPECT_EQ(Alloc.table().residentBytes(), 64u);
   Alloc.release(Begin, Begin + 64);
 
@@ -362,7 +342,7 @@ TEST_F(DeferredTagClearTest, ReleaseLeavesTagsResidentUntilReclaim) {
   EXPECT_EQ(Alloc.reclaimAll(), 1u);
   EXPECT_EQ(mte::ldgTag(Begin), 0);
   EXPECT_EQ(Alloc.table().residentBytes(), 0u);
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 1u);
+  EXPECT_EQ(count("tags_cleared"), 1u);
   EXPECT_EQ(Alloc.table().liveEntries(), 0u);
 }
 
@@ -406,7 +386,7 @@ TEST_F(DeferredTagClearTest, DisabledReproducesExactAlgorithm2) {
   // Exact semantics: the last release cleared the tags synchronously.
   EXPECT_EQ(mte::ldgTag(Begin), 0);
   EXPECT_EQ(Alloc.table().residentBytes(), 0u);
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 1u);
+  EXPECT_EQ(count("tags_cleared"), 1u);
   EXPECT_EQ(Alloc.reclaimAll(), 0u); // nothing ever lingers
 }
 
@@ -431,7 +411,7 @@ TEST_F(DeferredTagClearTest, BudgetOverflowFallsBackToExactClear) {
   Alloc.release(B, B + 64);
   EXPECT_EQ(mte::ldgTag(B), 0);
   EXPECT_EQ(Alloc.table().residentBytes(), 64u);
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 1u);
+  EXPECT_EQ(count("tags_cleared"), 1u);
 }
 
 TEST_F(DeferredTagClearTest, UseAfterReleaseDetectedOnceReclaimed) {
@@ -476,9 +456,10 @@ TEST_F(TagSlotMemoTest, DestroyedAllocatorEntriesNeverValidate) {
   Alloc->release(Begin, Begin + 64);
 
   Alloc.emplace(Options);
+  support::Metrics::resetAll(); // count the second allocator only
   uint64_t Bits = Alloc->acquire(Begin, Begin + 64);
-  EXPECT_EQ(Alloc->stats().TagsGenerated.value(), 1u);
-  EXPECT_EQ(Alloc->stats().TagsShared.value(), 0u);
+  EXPECT_EQ(count("tags_generated"), 1u);
+  EXPECT_EQ(count("tags_shared"), 0u);
   EXPECT_EQ(mte::ldgTag(Begin), mte::pointerTagOf(Bits));
   Alloc->release(Begin, Begin + 64);
   EXPECT_EQ(mte::ldgTag(Begin), 0);
@@ -500,8 +481,8 @@ TEST_F(TagSlotMemoTest, CrossThreadReleaseFindsTheSlotByProbe) {
   // the slot: the slow path is the exact last holder, not a cold miss.
   EXPECT_EQ(Delta("core/tagtable/slow_reason/slot_cold"), 0u);
   EXPECT_EQ(Delta("core/tagtable/slow_reason/last_holder"), 1u);
-  EXPECT_EQ(Alloc.stats().OrphanReleases.value(), 0u);
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), 1u);
+  EXPECT_EQ(count("orphan_releases"), 0u);
+  EXPECT_EQ(count("tags_cleared"), 1u);
   EXPECT_EQ(mte::ldgTag(Begin), 0);
   EXPECT_EQ(Alloc.table().liveEntries(), 0u);
 }
@@ -518,14 +499,14 @@ TEST_F(TagSlotMemoTest, MoreHeldRangesThanMemoEntries) {
   for (int Round = 0; Round < 2; ++Round)
     for (uint64_t Begin : Begins)
       Alloc.acquire(Begin, Begin + 64);
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value(), kRanges);
-  EXPECT_EQ(Alloc.stats().TagsShared.value(), kRanges);
+  EXPECT_EQ(count("tags_generated"), kRanges);
+  EXPECT_EQ(count("tags_shared"), kRanges);
   for (int Round = 0; Round < 2; ++Round)
     for (uint64_t Begin : Begins)
       Alloc.release(Begin, Begin + 64);
 
-  EXPECT_EQ(Alloc.stats().OrphanReleases.value(), 0u);
-  EXPECT_EQ(Alloc.stats().TagsCleared.value(), kRanges);
+  EXPECT_EQ(count("orphan_releases"), 0u);
+  EXPECT_EQ(count("tags_cleared"), kRanges);
   EXPECT_EQ(Alloc.table().liveEntries(), 0u);
   for (uint64_t Begin : Begins)
     EXPECT_EQ(mte::ldgTag(Begin), 0);

@@ -22,10 +22,12 @@
 #include "mte4jni/mte/Instructions.h"
 #include "mte4jni/mte/MteSystem.h"
 #include "mte4jni/mte/TaggedArena.h"
+#include "mte4jni/support/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,6 +43,7 @@ class TagTableConcurrentTest : public ::testing::Test {
 protected:
   void SetUp() override {
     mte::MteSystem::instance().reset();
+    support::Metrics::resetAll();
     Arena = std::make_unique<mte::TaggedArena>(8 << 20);
   }
   void TearDown() override {
@@ -52,6 +55,12 @@ protected:
     void *P = Arena->allocate(Bytes);
     EXPECT_NE(P, nullptr);
     return reinterpret_cast<uint64_t>(P);
+  }
+
+  /// A core/tagallocator/* registry count since SetUp.
+  static uint64_t count(const char *Name) {
+    return support::Metrics::snapshot().counterValue(
+        (std::string("core/tagallocator/") + Name).c_str());
   }
 
   std::unique_ptr<mte::TaggedArena> Arena;
@@ -84,18 +93,17 @@ TEST_F(TagTableConcurrentTest, ResurrectionRaceOnOneObject) {
   for (auto &T : Threads)
     T.join();
 
-  const auto &Stats = Alloc.stats();
-  EXPECT_EQ(Stats.Acquires.value(), uint64_t(kThreads) * kIters);
-  EXPECT_EQ(Stats.Releases.value(), uint64_t(kThreads) * kIters);
+  EXPECT_EQ(count("acquires"), uint64_t(kThreads) * kIters);
+  EXPECT_EQ(count("releases"), uint64_t(kThreads) * kIters);
   // Balanced acquire/release means a refcount that never went negative:
   // no release ever found the count at zero.
-  EXPECT_EQ(Stats.OrphanReleases.value(), 0u);
+  EXPECT_EQ(count("orphan_releases"), 0u);
   // Drain the deferred (lingering) tags, then every generated tag has
   // been cleared by an exact last holder or a reclaim.
   Alloc.reclaimAll();
-  EXPECT_EQ(Stats.TagsGenerated.value(), Stats.TagsCleared.value());
-  EXPECT_EQ(Stats.TagsGenerated.value() + Stats.TagsShared.value(),
-            Stats.Acquires.value());
+  EXPECT_EQ(count("tags_generated"), count("tags_cleared"));
+  EXPECT_EQ(count("tags_generated") + count("tags_shared"),
+            count("acquires"));
   EXPECT_EQ(Alloc.table().liveEntries(), 0u);
   EXPECT_EQ(mte::ldgTag(Begin), 0);
 }
@@ -134,10 +142,9 @@ TEST_F(TagTableConcurrentTest, MixedObjectsConvergeToEmpty) {
   for (auto &T : Threads)
     T.join();
 
-  EXPECT_EQ(Alloc.stats().OrphanReleases.value(), 0u);
+  EXPECT_EQ(count("orphan_releases"), 0u);
   Alloc.reclaimAll();
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value(),
-            Alloc.stats().TagsCleared.value());
+  EXPECT_EQ(count("tags_generated"), count("tags_cleared"));
   EXPECT_EQ(Alloc.table().liveEntries(), 0u);
 }
 
@@ -173,10 +180,9 @@ TEST_F(TagTableConcurrentTest, ProbeWindowOverflowSpillsToLockedMap) {
   for (auto &T : Threads)
     T.join();
 
-  EXPECT_EQ(Alloc.stats().OrphanReleases.value(), 0u);
+  EXPECT_EQ(count("orphan_releases"), 0u);
   Alloc.reclaimAll();
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value(),
-            Alloc.stats().TagsCleared.value());
+  EXPECT_EQ(count("tags_generated"), count("tags_cleared"));
   EXPECT_EQ(Alloc.table().liveEntries(), 0u);
   for (uint64_t Begin : Begins)
     EXPECT_EQ(mte::ldgTag(Begin), 0);
@@ -214,11 +220,10 @@ TEST_F(TagTableConcurrentTest, DeepNestingSharesOneTag) {
   // the first acquire... or hit zero between waves; either way at most a
   // handful of distinct tags, never tag 0.
   EXPECT_EQ(TagsSeen.load() & 1u, 0u);
-  EXPECT_EQ(Alloc.stats().OrphanReleases.value(), 0u);
+  EXPECT_EQ(count("orphan_releases"), 0u);
   Alloc.reclaimAll();
   EXPECT_EQ(mte::ldgTag(Begin), 0);
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value(),
-            Alloc.stats().TagsCleared.value());
+  EXPECT_EQ(count("tags_generated"), count("tags_cleared"));
 }
 
 /// Single-threaded sanity for the slot primitives themselves: probe,
@@ -309,7 +314,7 @@ TEST_F(TagTableConcurrentTest, ReclaimAbaUnderDeferredClear) {
   Alloc.acquire(Begin, Begin + 64);
   Alloc.release(Begin, Begin + 64);
   EXPECT_EQ(Alloc.table().probeSlot(Begin), S);
-  EXPECT_EQ(Alloc.stats().TagsGenerated.value(), 2u);
+  EXPECT_EQ(count("tags_generated"), 2u);
   const uint64_t Recurred = S->State.load(std::memory_order_acquire);
   ASSERT_EQ(TagTable::refCountOf(Recurred), 0u);
   ASSERT_TRUE(TagTable::residentOf(Recurred));

@@ -8,6 +8,7 @@
 #include "mte4jni/guarded/GuardedCopy.h"
 #include "mte4jni/mte/MteSystem.h"
 #include "mte4jni/support/Logging.h"
+#include "mte4jni/support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -22,8 +23,15 @@ using guarded::GuardedCopyPolicy;
 
 class GuardedCopyTest : public ::testing::Test {
 protected:
-  void SetUp() override { mte::MteSystem::instance().reset(); }
+  void SetUp() override {
+    mte::MteSystem::instance().reset();
+    support::Metrics::resetAll();
+  }
   void TearDown() override { mte::MteSystem::instance().reset(); }
+
+  static uint64_t counter(const char *Name) {
+    return support::Metrics::snapshot().counterValue(Name);
+  }
 
   jni::JniBufferInfo infoFor(std::vector<uint8_t> &Payload) {
     jni::JniBufferInfo Info;
@@ -85,7 +93,7 @@ TEST_F(GuardedCopyTest, OverflowDetectedWithOffset) {
   EXPECT_NE(Faults[0].Description.find("offset 84"), std::string::npos)
       << Faults[0].Description;
   EXPECT_NE(Faults[0].Description.find("overflow"), std::string::npos);
-  EXPECT_EQ(Policy.stats().CorruptionsDetected, 1u);
+  EXPECT_EQ(counter("guarded/corruptions_detected"), 1u);
 }
 
 TEST_F(GuardedCopyTest, UnderflowDetectedWithNegativeOffset) {
@@ -149,10 +157,15 @@ TEST_F(GuardedCopyTest, JniCommitKeepsBlockAlive) {
   reinterpret_cast<uint8_t *>(Bits)[0] = 7;
   Policy.release(infoFor(Payload), Bits, jni::JNI_COMMIT);
   EXPECT_EQ(Payload[0], 7) << "committed";
+  // The commit copied back but released nothing.
+  EXPECT_EQ(counter("guarded/releases"), 0u);
+  EXPECT_EQ(counter("guarded/bytes_copied"), 2u * 32u);
   // Buffer still usable and releasable.
   reinterpret_cast<uint8_t *>(Bits)[0] = 9;
   Policy.release(infoFor(Payload), Bits, 0);
   EXPECT_EQ(Payload[0], 9);
+  EXPECT_EQ(counter("guarded/acquires"), 1u);
+  EXPECT_EQ(counter("guarded/releases"), 1u);
   EXPECT_TRUE(mte::MteSystem::instance().faultLog().empty());
 }
 
@@ -193,10 +206,9 @@ TEST_F(GuardedCopyTest, StatsAccumulate) {
     uint64_t Bits = Policy.acquire(infoFor(Payload), IsCopy);
     Policy.release(infoFor(Payload), Bits, 0);
   }
-  auto Stats = Policy.stats();
-  EXPECT_EQ(Stats.Acquires, 5u);
-  EXPECT_EQ(Stats.Releases, 5u);
-  EXPECT_EQ(Stats.BytesCopied, 5u * 100u * 2u); // in + out
+  EXPECT_EQ(counter("guarded/acquires"), 5u);
+  EXPECT_EQ(counter("guarded/releases"), 5u);
+  EXPECT_EQ(counter("guarded/bytes_copied"), 5u * 100u * 2u); // in + out
 }
 
 TEST_F(GuardedCopyTest, ZeroLengthPayload) {

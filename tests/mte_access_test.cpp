@@ -15,6 +15,7 @@
 #include "mte4jni/mte/Instructions.h"
 #include "mte4jni/mte/MteSystem.h"
 #include "mte4jni/mte/TaggedArena.h"
+#include "mte4jni/support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -185,6 +186,7 @@ TEST_F(MteAccessTest, AsyncTfsrIsSticky) {
   mte::setTagRange(P.cast<void>(), 8 * sizeof(int32_t));
 
   // Three mismatching accesses, one delivery (first one kept).
+  support::Metrics::resetAll();
   mte::store<int32_t>(P.withTag(3), 1);
   mte::store<int32_t>((P + 1).withTag(4), 1);
   mte::store<int32_t>((P + 2).withTag(5), 1);
@@ -193,10 +195,9 @@ TEST_F(MteAccessTest, AsyncTfsrIsSticky) {
   auto Faults = MteSystem::instance().faultLog().snapshot();
   ASSERT_EQ(Faults.size(), 1u);
   EXPECT_EQ(Faults[0].PointerTag, 3);
-  EXPECT_EQ(
-      MteSystem::instance().stats().AsyncFaultsLatched.load(), 3u);
-  EXPECT_EQ(
-      MteSystem::instance().stats().AsyncFaultsDelivered.load(), 1u);
+  support::MetricsSnapshot Snap = support::Metrics::snapshot();
+  EXPECT_EQ(Snap.counterValue("mte/access/mismatch_async"), 3u);
+  EXPECT_EQ(Snap.counterValue("mte/fault/async_delivered"), 1u);
 }
 
 TEST_F(MteAccessTest, BulkHelpersCheckPerGranule) {

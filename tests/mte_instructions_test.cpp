@@ -9,6 +9,7 @@
 #include "mte4jni/mte/MteSystem.h"
 #include "mte4jni/mte/TaggedArena.h"
 #include "mte4jni/mte/ThreadState.h"
+#include "mte4jni/support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 namespace {
 
 using namespace mte4jni::mte;
+namespace support = mte4jni::support;
 
 class MteInstructionsTest : public ::testing::Test {
 protected:
@@ -115,19 +117,16 @@ TEST_F(MteInstructionsTest, ClearTagRangeStripsPointerTag) {
 }
 
 TEST_F(MteInstructionsTest, StatsCountInstructionActivity) {
-  MteStats &Stats = MteSystem::instance().stats();
-  uint64_t IrgBefore = Stats.IrgCount.load();
-  uint64_t StgBefore = Stats.StgGranules.load();
-  uint64_t LdgBefore = Stats.LdgCount.load();
-
+  support::Metrics::resetAll();
   uint8_t *Buf = static_cast<uint8_t *>(Arena->allocate(64));
   (void)irgTag();
   setTagRange(TaggedPtr<void>::fromRaw(Buf, 2), 64); // 4 granules
   (void)ldgTag(reinterpret_cast<uint64_t>(Buf));
 
-  EXPECT_EQ(Stats.IrgCount.load(), IrgBefore + 1);
-  EXPECT_EQ(Stats.StgGranules.load(), StgBefore + 4);
-  EXPECT_EQ(Stats.LdgCount.load(), LdgBefore + 1);
+  support::MetricsSnapshot Snap = support::Metrics::snapshot();
+  EXPECT_EQ(Snap.counterValue("mte/instr/irg"), 1u);
+  EXPECT_EQ(Snap.counterValue("mte/instr/stg_granules"), 4u);
+  EXPECT_EQ(Snap.counterValue("mte/instr/ldg"), 1u);
 }
 
 // Standalone (not TEST_F): resets the MteSystem mid-test, so it must not

@@ -117,10 +117,15 @@ TEST_F(MteStorageTest, ResetClearsEverything) {
   Sys.faultLog().append(std::move(R));
 
   Sys.reset();
-  EXPECT_EQ(Sys.regions()->size(), 0u);
   EXPECT_EQ(Sys.processCheckMode(), CheckMode::None);
   EXPECT_EQ(Sys.irgExcludeMask(), 0x0001);
   EXPECT_TRUE(Sys.faultLog().empty());
+  // Regions are not the system's to drop: the one registered here stays
+  // until its owner unregisters it.
+  EXPECT_EQ(Sys.regions()->size(), 1u);
+  EXPECT_TRUE(Sys.isTaggedAddress(reinterpret_cast<uint64_t>(Buf)));
+  Sys.unregisterRegion(Buf);
+  EXPECT_EQ(Sys.regions()->size(), 0u);
 }
 
 TEST_F(MteStorageTest, FaultLogBounded) {

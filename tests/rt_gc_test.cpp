@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "mte4jni/rt/JavaString.h"
 #include "mte4jni/rt/Runtime.h"
 
 #include <gtest/gtest.h>
@@ -166,6 +167,25 @@ TEST(RtGc, AllocationFailureTriggersCollectAndRetry) {
     HandleScope Scope(RT);
     EXPECT_NE(RT.newPrimArray(Scope, PrimType::Long, 1024), nullptr);
   }
+  RT.detachCurrentThread();
+}
+
+TEST(RtGc, StringAllocationFailureTriggersCollectAndRetry) {
+  // Strings take the same factory path as arrays.
+  RuntimeConfig C;
+  C.Heap.CapacityBytes = 1 << 20; // 1 MiB heap
+  Runtime RT(C);
+  RT.attachCurrentThread("main");
+  const std::string Text(500, 's');
+  // Fill the heap with unrooted strings.
+  while (newStringUtf8(RT.heap(), Text) != nullptr) {
+  }
+  EXPECT_EQ(newStringUtf8(RT.heap(), Text), nullptr);
+  {
+    HandleScope Scope(RT);
+    EXPECT_NE(RT.newStringUtf8(Scope, Text), nullptr);
+  }
+  EXPECT_EQ(RT.gc().completedCycles(), 1u);
   RT.detachCurrentThread();
 }
 

@@ -17,6 +17,7 @@
 #include "mte4jni/api/Session.h"
 #include "mte4jni/mte/Access.h"
 #include "mte4jni/mte/Instructions.h"
+#include "mte4jni/support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -41,6 +42,7 @@ TEST_P(StressTest, RandomisedMixedOperations) {
   C.GcIntervalMillis = 2;
   C.HeapBytes = 64ull << 20;
   api::Session S(C);
+  const support::MetricsSnapshot Before = support::Metrics::snapshot();
   api::ScopedAttach Main(S, "main");
   rt::HandleScope Scope(S.runtime());
 
@@ -142,8 +144,12 @@ TEST_P(StressTest, RandomisedMixedOperations) {
   for (jarray A : Arrays)
     EXPECT_EQ(A->pinCount(), 0u) << "leaked JNI pin";
   if (S.mtePolicy()) {
-    const auto &Stats = S.mtePolicy()->allocator().stats();
-    EXPECT_EQ(Stats.Acquires.value(), Stats.Releases.value());
+    const support::MetricsSnapshot After = support::Metrics::snapshot();
+    auto Delta = [&](const char *Name) {
+      return After.counterValue(Name) - Before.counterValue(Name);
+    };
+    EXPECT_EQ(Delta("core/tagallocator/acquires"),
+              Delta("core/tagallocator/releases"));
     // All tags must be accounted for once everything is released: under
     // the deferred-clear default, released ranges may legitimately linger,
     // so drain the lingering set first — anything still tagged after that
