@@ -50,7 +50,8 @@ class Counter;
 
 namespace mte4jni::core {
 
-/// Optional hardenings beyond the paper's Algorithm 1.
+/// How a tag allocator is built. ExcludeAdjacentTags is the one optional
+/// hardening; DeferredTagClear trades use-after-release detection for speed.
 struct TagAllocatorOptions {
   TagTableKind Locks = TagTableKind::LockFree;
   unsigned NumTables = 16;
@@ -150,7 +151,7 @@ private:
   const uint64_t MemoOwnerId;
 
   /// Registry counters for the lock-free fast paths, resolved once at
-  /// construction so the hot path pays exactly one sharded relaxed add —
+  /// construction so the hot path pays exactly one plain per-thread add —
   /// no name lookup, no function-local-static guard. Aggregate metrics
   /// ("core/tagallocator/acquires" etc.) are derived from the per-path
   /// counters at snapshot time and cost nothing here.

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The Java heap: a contiguous arena with thread-local allocation buffers
-/// (TLABs) bumping off a shared frontier, sharded segregated free lists
+/// (TLABs) bumping off a shared frontier, per-thread segregated free lists
 /// refilled by the GC sweep, and an object-start liveness bitmap. Two knobs
 /// reproduce the paper's §4.1 modifications:
 ///
@@ -18,17 +18,15 @@
 ///
 /// Allocation pipeline:
 ///
-///   * The common alloc is a bump-pointer increment in the calling
-///     thread's TLAB — no lock, no shared cache line. TLABs are carved
-///     from the arena under a short-held refill mutex.
-///   * Free lists are sharded by the thread's exclusive metrics shard and
-///     indexed by size class (direct array up to 256 classes, map beyond),
-///     so reuse stays O(1) under an uncontended spinlock. A single free()
+///   * Every thread slot (support/PerThread.h) has its own TLAB, free list
+///     and stat cells. The common alloc is a bump in the caller's TLAB — no
+///     lock, no shared cache line; refills carve the arena under a mutex.
+///   * Free lists are indexed by size class (direct array up to 256
+///     classes, map beyond) under an uncontended spinlock. A single free()
 ///     joins the freeing thread's list; a collection's freed blocks join
 ///     the collecting thread's list at every GC parallelism, whichever
-///     worker swept them. When the bump frontier is exhausted the slow
-///     path steals exact-size blocks from every shard before reporting
-///     OutOfMemoryError.
+///     worker swept them. An allocation tries its own list, then its TLAB,
+///     and other threads' lists only once the bump frontier is exhausted.
 ///   * Liveness is an atomic side bitmap over alignment granules:
 ///     isLiveObject is a lock-free O(1) bit test, and forEachObject walks
 ///     the bitmap linearly WITHOUT holding any heap lock — callbacks may
@@ -41,7 +39,7 @@
 
 #include "mte4jni/rt/Object.h"
 #include "mte4jni/support/MathExtras.h"
-#include "mte4jni/support/Metrics.h"
+#include "mte4jni/support/PerThread.h"
 #include "mte4jni/support/SpinLock.h"
 
 #include <atomic>
@@ -174,71 +172,51 @@ private:
                 Size - sizeof(ObjectHeader));
   }
 
-  // Shard index space: reuse the metrics registry's exclusive per-thread
-  // shard assignment (support::detail::metricShard). A shard is owned by
-  // at most one live thread, so its TLAB and stat cells are single-writer;
-  // threads past kMetricShards share the overflow shard, which never
-  // bump-allocates and uses atomic RMW for stats.
-  static constexpr unsigned kNumShards = support::kMetricCells;
-  static constexpr unsigned kOverflowShard = support::kMetricOverflowShard;
   /// Free-list size classes directly indexed by (Size >> AlignShift);
-  /// larger blocks fall into a per-shard map.
+  /// larger blocks fall into a map.
   static constexpr unsigned kNumSmallClasses = 256;
   /// TLAB size carved per refill, before the CapacityBytes/16 clamp.
   static constexpr uint64_t kTlabSize = 64 << 10;
 
-  struct alignas(64) Tlab {
-    /// Next free byte / one-past-the-end of this shard's buffer. Relaxed
-    /// atomics: single-writer (the owning thread) except compact(), which
-    /// runs with the world paused.
-    std::atomic<uint64_t> Cur{0};
-    std::atomic<uint64_t> End{0};
-  };
-
-  struct alignas(64) FreeShard {
-    support::SpinLock Lock;
-    /// Blocks across all lists of this shard; a relaxed hint that lets
-    /// the alloc fast path skip the lock when the shard is empty.
-    std::atomic<uint64_t> Count{0};
-    std::vector<uint64_t> Small[kNumSmallClasses];
-    std::unordered_map<uint64_t, std::vector<uint64_t>> Large;
-  };
-
-  struct alignas(64) StatShard {
+  /// One thread slot's share of the heap. Only the owner bumps the TLAB
+  /// (compact() resets it with the world paused) and adds to the stats.
+  /// Other threads push onto and take from the free list under its lock.
+  struct alignas(64) ThreadHeap {
+    /// Next free byte / one-past-the-end of the TLAB.
+    std::atomic<uint64_t> TlabCur{0};
+    std::atomic<uint64_t> TlabEnd{0};
     std::atomic<int64_t> BytesAllocated{0};
     std::atomic<int64_t> BytesLive{0};
     std::atomic<int64_t> ObjectsAllocated{0};
     std::atomic<int64_t> ObjectsLive{0};
     std::atomic<int64_t> ObjectsFreed{0};
     std::atomic<int64_t> FreeListHits{0};
+    /// Own cache line: other threads take this lock.
+    alignas(64) support::SpinLock Lock;
+    /// Blocks across all lists; a relaxed hint that lets the alloc fast
+    /// path skip the lock when the list is empty.
+    std::atomic<uint64_t> Count{0};
+    std::vector<uint64_t> Small[kNumSmallClasses];
+    std::unordered_map<uint64_t, std::vector<uint64_t>> Large;
   };
-
-  /// Owned-shard cells take a plain load+store (no RMW); the shared
-  /// overflow shard needs fetch_add to stay exact.
-  M4J_ALWAYS_INLINE static void statAdd(std::atomic<int64_t> &Cell,
-                                        int64_t N, unsigned Shard) {
-    if (M4J_LIKELY(Shard != kOverflowShard))
-      Cell.store(Cell.load(std::memory_order_relaxed) + N,
-                 std::memory_order_relaxed);
-    else
-      Cell.fetch_add(N, std::memory_order_relaxed);
-  }
 
   ObjectHeader *allocObject(uint32_t ClassWord, uint32_t Length,
                             uint64_t PayloadBytes);
 
-  /// Refill-lock slow path: TLAB refill, direct carve for big objects and
-  /// overflow-shard threads, then cross-shard free-list stealing. Sets
-  /// \p FreeListHit when the block came from a (stolen) free list.
-  uint64_t allocSlow(uint64_t Size, unsigned Shard, bool &FreeListHit);
+  /// Refill-lock slow path: TLAB refill or a big object's direct carve,
+  /// then, once the frontier is exhausted, any thread's free list. Sets
+  /// \p FreeListHit when the block came from a free list.
+  uint64_t allocSlow(uint64_t Size, bool &FreeListHit);
 
-  /// Pops an exact-size block from \p FS; 0 when none. Takes FS.Lock.
-  uint64_t takeFromShard(FreeShard &FS, uint64_t Size);
+  /// Pops an exact-size block from \p TH's free list; 0 when none.
+  uint64_t takeFree(ThreadHeap &TH, uint64_t Size);
   /// The body of free() and freeAll(): retires \p Objs, then pushes their
-  /// blocks onto shard \p Into under one hold of its lock. Inlined into
-  /// both, so the one-object free() compiles to straight-line code.
-  uint64_t freeToShard(std::span<ObjectHeader *const> Objs, unsigned Into);
+  /// blocks onto \p Into's free list under one hold of its lock. Inlined
+  /// into both, so the one-object free() compiles to straight-line code.
+  uint64_t freeInto(std::span<ObjectHeader *const> Objs, ThreadHeap &Into);
 
+  /// Bytes left between the aligned bump frontier and the arena's end.
+  uint64_t frontierRoom() const;
   /// Carves [result, result+Bytes) from the bump frontier; 0 when the
   /// arena is exhausted. RefillLock must be held.
   uint64_t carveLocked(uint64_t Bytes);
@@ -268,9 +246,7 @@ private:
   std::unique_ptr<std::atomic<uint64_t>[]> LiveBits;
   uint64_t NumBitWords = 0;
 
-  std::unique_ptr<Tlab[]> Tlabs;
-  std::unique_ptr<FreeShard[]> FreeShards;
-  std::unique_ptr<StatShard[]> StatShards;
+  support::PerThread<ThreadHeap> Threads;
 };
 
 } // namespace mte4jni::rt

@@ -17,19 +17,16 @@
 ///
 /// Cost model (why instrumented hot paths stay hot):
 ///
-///   * Counter::add on a thread that owns a shard is a plain load+store
-///     (one ordinary `add` instruction) on a cache-line-aligned cell no
-///     other thread writes — no atomic RMW, which alone costs tens of
-///     nanoseconds on the virtualised hosts the benches run on. Shards
-///     are EXCLUSIVE: a thread claims one from a free-list bitmask on
-///     first use and returns it at thread exit, so single-writer cells
-///     stay exact. When more than kMetricShards threads are live at
-///     once, the extras share one designated overflow cell via relaxed
-///     fetch_add — still exact, just slower.
+///   * Counter::add is a plain load+store on a cache-line-aligned cell only
+///     the calling thread writes, one per thread slot (support/PerThread.h)
+///     at any thread count: no atomic RMW, which alone costs tens of
+///     nanoseconds on virtualised hosts. With at most 16 live threads it is
+///     a TLS load, a compare, and the cell's load and store.
 ///   * Gauges are single atomics — used only on paths that already hold a
 ///     lock (heap occupancy) or are cold (high-water marks).
-///   * Histogram::record is a log2 bucket pick plus three relaxed adds on
-///     the thread's shard — used for GC phase durations, not per-access.
+///   * Histogram::record is a log2 bucket pick plus three plain adds and a
+///     min/max update on the thread's cell — used for GC phase durations
+///     and sampled latencies, not per-access.
 ///   * Per-access paths add to no registry cell at all: the tag check
 ///     counts loads, stores, granules and region-cache hits in its own
 ///     mte::ThreadState, and the mte/access/* names that report them are
@@ -51,6 +48,7 @@
 #define MTE4JNI_SUPPORT_METRICS_H
 
 #include "mte4jni/support/Compiler.h"
+#include "mte4jni/support/PerThread.h"
 #include "mte4jni/support/SpinLock.h"
 #include "mte4jni/support/Timer.h"
 
@@ -64,51 +62,12 @@
 
 namespace mte4jni::support {
 
-/// Number of exclusively-owned per-thread shards per metric. 16 covers
-/// the benchmark fleet's concurrent thread counts; threads beyond that
-/// share the overflow cell (atomic, exact, slower).
-inline constexpr unsigned kMetricShards = 16;
-
-/// Index of the shared overflow cell; metric arrays have this many + 1
-/// cells in total.
-inline constexpr unsigned kMetricOverflowShard = kMetricShards;
-inline constexpr unsigned kMetricCells = kMetricShards + 1;
-
-namespace detail {
-/// Claims an exclusive shard (or the overflow shard when none is free),
-/// stores it into MetricShardCache, and registers a thread-exit hook that
-/// returns the claim. Returns the shard index.
-unsigned assignMetricShardSlow();
-
-/// Cached shard + 1 (0 = unassigned). constinit on this declaration too,
-/// so every access from any translation unit is a plain TLS load — no
-/// per-access dynamic-initialization guard.
-extern thread_local constinit unsigned MetricShardCache;
-
-M4J_ALWAYS_INLINE unsigned metricShard() {
-  unsigned S = MetricShardCache;
-  if (M4J_LIKELY(S != 0))
-    return S - 1;
-  return assignMetricShardSlow();
-}
-} // namespace detail
-
-/// Monotonically increasing event count, sharded per thread.
+/// Monotonically increasing event count, one cell per thread slot.
 class Counter {
 public:
-  M4J_ALWAYS_INLINE void add(uint64_t N = 1) {
-    unsigned S = detail::metricShard();
-    std::atomic<uint64_t> &V = Cells[S].V;
-    if (M4J_LIKELY(S != kMetricOverflowShard))
-      // Exclusive owner: plain add, no RMW. Relaxed atomic accesses keep
-      // concurrent aggregation (value()) race-free.
-      V.store(V.load(std::memory_order_relaxed) + N,
-              std::memory_order_relaxed);
-    else
-      V.fetch_add(N, std::memory_order_relaxed);
-  }
+  M4J_ALWAYS_INLINE void add(uint64_t N = 1) { ownerAdd(Cells.local().V, N); }
 
-  /// Sum over all shards (relaxed; exact once writers are quiescent).
+  /// Sum over all cells (relaxed; exact once writers are quiescent).
   uint64_t value() const;
   void reset();
 
@@ -116,7 +75,7 @@ private:
   struct alignas(64) Cell {
     std::atomic<uint64_t> V{0};
   };
-  Cell Cells[kMetricCells];
+  PerThread<Cell> Cells;
 };
 
 /// A settable signed level (heap occupancy, live entries, high-water
@@ -160,37 +119,14 @@ public:
   }
 
   M4J_ALWAYS_INLINE void record(uint64_t Value) {
-    unsigned Idx = detail::metricShard();
-    Shard &S = Shards[Idx];
-    std::atomic<uint64_t> &B = S.Buckets[bucketOf(Value)];
-    if (M4J_LIKELY(Idx != kMetricOverflowShard)) {
-      // Exclusive owner: plain adds (see Counter::add).
-      B.store(B.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
-      S.Count.store(S.Count.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-      S.Sum.store(S.Sum.load(std::memory_order_relaxed) + Value,
-                  std::memory_order_relaxed);
-      if (Value < S.Min.load(std::memory_order_relaxed))
-        S.Min.store(Value, std::memory_order_relaxed);
-      if (Value > S.Max.load(std::memory_order_relaxed))
-        S.Max.store(Value, std::memory_order_relaxed);
-    } else {
-      B.fetch_add(1, std::memory_order_relaxed);
-      S.Count.fetch_add(1, std::memory_order_relaxed);
-      S.Sum.fetch_add(Value, std::memory_order_relaxed);
-      // Shared overflow cell: CAS loops keep min/max exact under races.
-      uint64_t Cur = S.Min.load(std::memory_order_relaxed);
-      while (Value < Cur &&
-             !S.Min.compare_exchange_weak(Cur, Value,
-                                          std::memory_order_relaxed))
-        ;
-      Cur = S.Max.load(std::memory_order_relaxed);
-      while (Value > Cur &&
-             !S.Max.compare_exchange_weak(Cur, Value,
-                                          std::memory_order_relaxed))
-        ;
-    }
+    Cell &S = Cells.local();
+    ownerAdd(S.Buckets[bucketOf(Value)], 1);
+    ownerAdd(S.Count, 1);
+    ownerAdd(S.Sum, Value);
+    if (Value < S.Min.load(std::memory_order_relaxed))
+      S.Min.store(Value, std::memory_order_relaxed);
+    if (Value > S.Max.load(std::memory_order_relaxed))
+      S.Max.store(Value, std::memory_order_relaxed);
   }
 
   uint64_t count() const;
@@ -204,14 +140,25 @@ public:
   std::array<uint64_t, kBuckets> bucketCounts() const;
 
 private:
-  struct alignas(64) Shard {
+  struct Cell;
+  /// Folds \p Op over one field of every cell, starting from \p Init.
+  template <typename OpT>
+  uint64_t fold(std::atomic<uint64_t> Cell::*Field, uint64_t Init,
+                OpT Op) const {
+    Cells.forEach([&](const Cell &C) {
+      Init = Op(Init, (C.*Field).load(std::memory_order_relaxed));
+    });
+    return Init;
+  }
+
+  struct alignas(64) Cell {
     std::atomic<uint64_t> Buckets[kBuckets] = {};
     std::atomic<uint64_t> Count{0};
     std::atomic<uint64_t> Sum{0};
     std::atomic<uint64_t> Min{UINT64_MAX};
     std::atomic<uint64_t> Max{0};
   };
-  Shard Shards[kMetricCells];
+  PerThread<Cell> Cells;
 };
 
 // ==== fault telemetry =====================================================

@@ -6,13 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A per-thread flight recorder: each thread owns a lock-free ring of
-/// fixed-size (24-byte) trace events — JNI crossings, TagTable
-/// acquire/release with outcome code, tag-check scans with the store
-/// level that resolved them, GC phases, TLAB refills, faults. It is the repository's only tracer,
-/// and it is always on at a ~1/64 sampling rate so the last few thousand
-/// events per thread are available after the fact — from a tombstone, a
-/// bench run, or a hung process — without having asked in advance.
+/// A per-thread flight recorder: each thread slot (support/PerThread.h)
+/// owns a lock-free ring of fixed-size (24-byte) trace events — JNI
+/// crossings, TagTable acquire/release with outcome code, tag-check scans
+/// with the store level that resolved them, GC phases, TLAB refills,
+/// faults. It is the repository's only tracer, and it is always on at a
+/// ~1/64 sampling rate so the last few thousand events per thread are
+/// available after the fact — from a tombstone, a bench run, or a hung
+/// process — without having asked in advance. A slot's ring outlives its
+/// thread: its events stay exportable until the slot's next owner records.
 ///
 /// Three observability levels, selected at run time:
 ///
@@ -162,13 +164,12 @@ M4J_ALWAYS_INLINE bool coldArmed() {
 /// Static facade over the per-thread rings.
 class FlightRecorder {
 public:
-  /// Events retained per thread. 2048 * 24 bytes = 48 KiB per ring; rings
-  /// of dead threads are recycled by new threads, so memory is bounded by
-  /// the peak live thread count.
+  /// Events retained per thread. 2048 * 24 bytes = 48 KiB per ring, one
+  /// ring per thread slot.
   static constexpr size_t kRingEvents = 2048;
 
-  /// Appends one event to the calling thread's ring (claiming a ring on
-  /// first use). Callers gate on obs::armSampled()/coldArmed(); record()
+  /// Appends one event to the calling thread's ring (taking over its
+  /// slot's ring on first use). Callers gate on obs::armSampled()/coldArmed(); record()
   /// itself never samples. DurNanos saturates at ~4.29 s (32 bits).
   static void record(FlightKind Kind, uint8_t Arg, uint32_t Arg2,
                      uint64_t StartNanos, uint64_t DurNanos);

@@ -162,30 +162,13 @@ uint64_t GcController::clearMarks() {
 }
 
 void GcController::markFromRoots(std::vector<ObjectHeader *> Roots) {
-  if (Workers <= 1 || Roots.size() < 2) {
-    // Single-threaded ablation path (and the trivial-root fast case).
-    std::vector<ObjectHeader *> Worklist(std::move(Roots));
-    while (!Worklist.empty()) {
-      ObjectHeader *Obj = Worklist.back();
-      Worklist.pop_back();
-      if (!Obj || !Obj->tryMark())
-        continue;
-      if (Obj->kind() == ObjectKind::RefArray) {
-        ObjectHeader **Slots = refArraySlots(Obj);
-        for (uint32_t I = 0; I < Obj->Length; ++I)
-          if (Slots[I] && !Slots[I]->isMarked())
-            Worklist.push_back(Slots[I]);
-      }
-    }
-    return;
-  }
-
-  // Parallel tracing in rounds: workers grab batches of the shared
-  // frontier (root partitioning via an atomic cursor), trace into a local
-  // stack, and spill half of an overgrown stack to a shared overflow that
-  // seeds the next round — work stealing through the spill. tryMark is the
-  // claim: exactly one worker traces each object's children, and marks
-  // only ever go 0->1 during this phase, so the rounds terminate.
+  // Tracing in rounds (runStriped runs a round inline at one worker):
+  // workers grab batches of the shared frontier (root partitioning via an
+  // atomic cursor), trace into a local stack, and spill half of an
+  // overgrown stack to a shared overflow that seeds the next round — work
+  // stealing through the spill. tryMark is the claim: exactly one worker
+  // traces each object's children, and marks only ever go 0->1 during this
+  // phase, so the rounds terminate.
   std::vector<ObjectHeader *> Frontier(std::move(Roots));
   std::vector<ObjectHeader *> Overflow;
   support::SpinLock OverflowLock;

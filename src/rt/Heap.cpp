@@ -22,8 +22,8 @@ namespace {
 
 /// Allocation-pipeline composition: how often the TLAB bump wins, how often
 /// it refills, and how often an allocation bypasses it entirely (big
-/// objects, overflow-shard threads). Free-list reuse is
-/// tracked in HeapStats (per heap); these are process-wide rates.
+/// objects). Free-list reuse is tracked in HeapStats (per heap); these are
+/// process-wide rates.
 struct HeapMetrics {
   support::Counter &TlabHit = support::Metrics::counter("rt/heap/tlab_hit");
   support::Counter &TlabRefill =
@@ -36,14 +36,12 @@ struct HeapMetrics {
       support::Metrics::gauge("rt/heap/bitmap_bytes");
   /// Why an allocation left the TLAB bump path (fast-path attribution):
   /// refill = normal TLAB exhaustion; big_object = Size * 4 > TLAB size;
-  /// overflow_shard = more live threads than shards; frontier_exhausted =
-  /// the bump frontier ran out and the free lists were scavenged.
+  /// frontier_exhausted = the bump frontier ran out and the free lists
+  /// were scavenged.
   support::Counter &SlowRefill =
       support::Metrics::counter("rt/heap/tlab_slow_reason/refill");
   support::Counter &SlowBigObject =
       support::Metrics::counter("rt/heap/tlab_slow_reason/big_object");
-  support::Counter &SlowOverflowShard =
-      support::Metrics::counter("rt/heap/tlab_slow_reason/overflow_shard");
   support::Counter &SlowFrontierExhausted = support::Metrics::counter(
       "rt/heap/tlab_slow_reason/frontier_exhausted");
 };
@@ -70,10 +68,6 @@ JavaHeap::JavaHeap(const HeapConfig &Config) : Config(Config) {
   NumBitWords = ((this->Config.CapacityBytes >> AlignShift) + 63) / 64;
   LiveBits.reset(new std::atomic<uint64_t>[NumBitWords]());
   heapMetrics().BitmapBytes.set(static_cast<int64_t>(NumBitWords * 8));
-
-  Tlabs.reset(new Tlab[kNumShards]);
-  FreeShards.reset(new FreeShard[kNumShards]);
-  StatShards.reset(new StatShard[kNumShards]);
 
   // Clamp the TLAB so tiny test heaps (4 KiB OOM fixtures) are not eaten
   // by the first refill.
@@ -108,101 +102,92 @@ void JavaHeap::clearLiveBit(uint64_t Addr) {
   (void)Prev;
 }
 
-uint64_t JavaHeap::carveLocked(uint64_t Bytes) {
+uint64_t JavaHeap::frontierRoom() const {
   uint64_t Aligned = support::alignTo(
       Base + BumpOffset.load(std::memory_order_relaxed), Config.Alignment);
-  if (Aligned + Bytes > Base + Config.CapacityBytes)
+  uint64_t Limit = Base + Config.CapacityBytes;
+  return Aligned < Limit ? Limit - Aligned : 0;
+}
+
+uint64_t JavaHeap::carveLocked(uint64_t Bytes) {
+  uint64_t Room = frontierRoom();
+  if (Room < Bytes)
     return 0;
+  uint64_t Aligned = Base + Config.CapacityBytes - Room;
   BumpOffset.store((Aligned + Bytes) - Base, std::memory_order_release);
   return Aligned;
 }
 
-uint64_t JavaHeap::takeFromShard(FreeShard &FS, uint64_t Size) {
-  std::lock_guard<support::SpinLock> Guard(FS.Lock);
-  if (FS.Count.load(std::memory_order_relaxed) == 0)
+uint64_t JavaHeap::takeFree(ThreadHeap &TH, uint64_t Size) {
+  std::lock_guard<support::SpinLock> Guard(TH.Lock);
+  if (TH.Count.load(std::memory_order_relaxed) == 0)
     return 0;
   std::vector<uint64_t> *List = nullptr;
   uint64_t Class = Size >> AlignShift;
   if (Class < kNumSmallClasses) {
-    if (!FS.Small[Class].empty())
-      List = &FS.Small[Class];
+    if (!TH.Small[Class].empty())
+      List = &TH.Small[Class];
   } else {
-    auto It = FS.Large.find(Size);
-    if (It != FS.Large.end() && !It->second.empty())
+    auto It = TH.Large.find(Size);
+    if (It != TH.Large.end() && !It->second.empty())
       List = &It->second;
   }
   if (!List)
     return 0;
   uint64_t Addr = List->back();
   List->pop_back();
-  FS.Count.fetch_sub(1, std::memory_order_relaxed);
+  TH.Count.fetch_sub(1, std::memory_order_relaxed);
   return Addr;
 }
 
-uint64_t JavaHeap::allocSlow(uint64_t Size, unsigned Shard,
-                             bool &FreeListHit) {
-  // TLAB-worthy sizes refill the shard's buffer; big objects and
-  // overflow-shard threads carve exactly what they need.
-  bool Refill = Shard != kOverflowShard && Size * 4 <= TlabSize;
+uint64_t JavaHeap::allocSlow(uint64_t Size, bool &FreeListHit) {
+  // TLAB-worthy sizes refill the caller's buffer; big objects carve
+  // exactly what they need.
   HeapMetrics &HM = heapMetrics();
-  if (Shard == kOverflowShard)
-    HM.SlowOverflowShard.add();
-  else if (Size * 4 > TlabSize)
-    HM.SlowBigObject.add();
-  else
-    HM.SlowRefill.add();
-  if (Refill) {
-    uint64_t TlabStart = 0, TlabEnd = 0;
+  bool Big = Size * 4 > TlabSize;
+  (Big ? HM.SlowBigObject : HM.SlowRefill).add();
+  // Once the rest of the arena cannot hold the request, the refill lock
+  // cannot help: an unlocked look at the frontier skips it.
+  if (frontierRoom() >= Size) {
+    uint64_t Addr = 0, Bytes = 0;
     {
       std::lock_guard<std::mutex> Guard(RefillLock);
-      uint64_t Aligned = support::alignTo(
-          Base + BumpOffset.load(std::memory_order_relaxed),
-          Config.Alignment);
-      uint64_t Limit = Base + Config.CapacityBytes;
-      uint64_t Avail = Aligned < Limit ? Limit - Aligned : 0;
-      uint64_t Take = std::min<uint64_t>(TlabSize, Avail);
-      if (Take >= Size) {
-        BumpOffset.store((Aligned + Take) - Base, std::memory_order_release);
-        TlabStart = Aligned;
-        TlabEnd = Aligned + Take;
-      }
+      Bytes = Big ? Size : std::min(TlabSize, frontierRoom());
+      Addr = Bytes >= Size ? carveLocked(Bytes) : 0;
     }
-    if (TlabStart) {
-      heapMetrics().TlabRefill.add();
-      // TLAB refills are cold: always in the flight ring unless Off.
-      if (support::obs::coldArmed())
-        support::FlightRecorder::record(
-            support::FlightKind::TlabRefill, 0,
-            static_cast<uint32_t>(TlabEnd - TlabStart),
-            support::monotonicNanos(), 0);
-      Tlab &T = Tlabs[Shard];
-      T.Cur.store(TlabStart + Size, std::memory_order_relaxed);
-      T.End.store(TlabEnd, std::memory_order_relaxed);
-      return TlabStart;
-    }
-  } else {
-    uint64_t Addr;
-    {
-      std::lock_guard<std::mutex> Guard(RefillLock);
-      Addr = carveLocked(Size);
+    if (Addr && Big) {
+      HM.TlabFallback.add();
+      return Addr;
     }
     if (Addr) {
-      heapMetrics().TlabFallback.add();
+      HM.TlabRefill.add();
+      // TLAB refills are cold: always in the flight ring unless Off.
+      if (support::obs::coldArmed())
+        support::FlightRecorder::record(support::FlightKind::TlabRefill, 0,
+                                        static_cast<uint32_t>(Bytes),
+                                        support::monotonicNanos(), 0);
+      ThreadHeap &Own = Threads.local();
+      Own.TlabCur.store(Addr + Size, std::memory_order_relaxed);
+      Own.TlabEnd.store(Addr + Bytes, std::memory_order_relaxed);
       return Addr;
     }
   }
 
-  // Frontier exhausted: scavenge an exact-size block from ANY shard's free
-  // list before conceding OutOfMemoryError.
+  // Frontier exhausted: scavenge an exact-size block from ANY thread's
+  // free list, starting at the caller's own, before conceding
+  // OutOfMemoryError.
   HM.SlowFrontierExhausted.add();
-  for (unsigned I = 0; I < kNumShards; ++I) {
-    unsigned Victim = (Shard + I) % kNumShards;
-    if (FreeShards[Victim].Count.load(std::memory_order_relaxed) == 0)
+  unsigned Own = support::threadSlot();
+  unsigned NumSlots = support::threadSlotHighWater();
+  for (unsigned I = 0; I < NumSlots; ++I) {
+    unsigned Victim = (Own + I) % NumSlots;
+    ThreadHeap *TH = Threads.find(Victim);
+    if (!TH || TH->Count.load(std::memory_order_relaxed) == 0)
       continue;
-    if (uint64_t Addr = takeFromShard(FreeShards[Victim], Size)) {
+    if (uint64_t Addr = takeFree(*TH, Size)) {
       FreeListHit = true;
-      if (Victim != Shard)
-        heapMetrics().FreeListSteal.add();
+      if (Victim != Own)
+        HM.FreeListSteal.add();
       return Addr;
     }
   }
@@ -220,32 +205,28 @@ ObjectHeader *JavaHeap::allocObject(uint32_t ClassWord, uint32_t Length,
       support::Metrics::histogram("rt/heap/alloc_nanos");
   support::SampledLatency Lat(AllocNanos);
 
-  unsigned Shard = support::detail::metricShard();
+  ThreadHeap &Own = Threads.local();
 
-  // Fast path: same-size reuse from the home shard (kept ahead of the
-  // TLAB so a free-then-realloc round trip returns the same address,
-  // like the seed allocator), then the TLAB bump. The reuse check is
-  // one relaxed load when the shard is empty.
+  // Fast path: same-size reuse from the caller's own list (kept ahead of
+  // the TLAB so a free-then-realloc round trip returns the same address,
+  // like the seed allocator), then the TLAB bump. The reuse check is one
+  // relaxed load when the list is empty.
   uint64_t Addr = 0;
   bool FreeListHit = false;
-  FreeShard &FS = FreeShards[Shard];
-  if (M4J_UNLIKELY(FS.Count.load(std::memory_order_relaxed) != 0)) {
-    Addr = takeFromShard(FS, Size);
+  if (M4J_UNLIKELY(Own.Count.load(std::memory_order_relaxed) != 0)) {
+    Addr = takeFree(Own, Size);
     FreeListHit = Addr != 0;
   }
   if (!Addr) {
-    if (M4J_LIKELY(Shard != kOverflowShard)) {
-      Tlab &T = Tlabs[Shard];
-      uint64_t Cur = T.Cur.load(std::memory_order_relaxed);
-      uint64_t End = T.End.load(std::memory_order_relaxed);
-      if (M4J_LIKELY(Cur != 0 && Size <= End - Cur)) {
-        T.Cur.store(Cur + Size, std::memory_order_relaxed);
-        Addr = Cur;
-        heapMetrics().TlabHit.add();
-      }
+    uint64_t Cur = Own.TlabCur.load(std::memory_order_relaxed);
+    uint64_t End = Own.TlabEnd.load(std::memory_order_relaxed);
+    if (M4J_LIKELY(Cur != 0 && Size <= End - Cur)) {
+      Own.TlabCur.store(Cur + Size, std::memory_order_relaxed);
+      Addr = Cur;
+      heapMetrics().TlabHit.add();
+    } else {
+      Addr = allocSlow(Size, FreeListHit);
     }
-    if (!Addr)
-      Addr = allocSlow(Size, Shard, FreeListHit);
   }
   if (!Addr)
     return nullptr; // OutOfMemoryError territory
@@ -261,13 +242,12 @@ ObjectHeader *JavaHeap::allocObject(uint32_t ClassWord, uint32_t Length,
   // the bit also sees the initialised header.
   setLiveBit(Addr, std::memory_order_release);
 
-  StatShard &St = StatShards[Shard];
-  statAdd(St.BytesAllocated, static_cast<int64_t>(Size), Shard);
-  statAdd(St.BytesLive, static_cast<int64_t>(Size), Shard);
-  statAdd(St.ObjectsAllocated, 1, Shard);
-  statAdd(St.ObjectsLive, 1, Shard);
+  support::ownerAdd(Own.BytesAllocated, static_cast<int64_t>(Size));
+  support::ownerAdd(Own.BytesLive, static_cast<int64_t>(Size));
+  support::ownerAdd(Own.ObjectsAllocated, 1);
+  support::ownerAdd(Own.ObjectsLive, 1);
   if (FreeListHit)
-    statAdd(St.FreeListHits, 1, Shard);
+    support::ownerAdd(Own.FreeListHits, 1);
   return Obj;
 }
 
@@ -288,7 +268,7 @@ ObjectHeader *JavaHeap::allocRefArray(uint32_t Length) {
 }
 
 M4J_ALWAYS_INLINE uint64_t
-JavaHeap::freeToShard(std::span<ObjectHeader *const> Objs, unsigned Into) {
+JavaHeap::freeInto(std::span<ObjectHeader *const> Objs, ThreadHeap &Into) {
   int64_t Bytes = 0;
   for (ObjectHeader *Obj : Objs) {
     uint64_t Addr = reinterpret_cast<uint64_t>(Obj);
@@ -307,43 +287,43 @@ JavaHeap::freeToShard(std::span<ObjectHeader *const> Objs, unsigned Into) {
     Obj->ClassWord = 0xDEADDEAD;
   }
 
-  // Stats go to the calling thread's own shard (single-writer cells).
-  unsigned Shard = support::detail::metricShard();
-  StatShard &St = StatShards[Shard];
+  // Stats go to the calling thread's own cells.
+  ThreadHeap &Own = Threads.local();
   int64_t N = static_cast<int64_t>(Objs.size());
-  statAdd(St.BytesLive, -Bytes, Shard);
-  statAdd(St.ObjectsLive, -N, Shard);
-  statAdd(St.ObjectsFreed, N, Shard);
+  support::ownerAdd(Own.BytesLive, -Bytes);
+  support::ownerAdd(Own.ObjectsLive, -N);
+  support::ownerAdd(Own.ObjectsFreed, N);
 
   // The blocks go to the list the caller named, not necessarily its own:
   // free() keeps same-thread reuse local, and a GC sweep worker hands its
   // stripe's blocks to the collecting thread in one lock hold.
-  FreeShard &FS = FreeShards[Into];
-  std::lock_guard<support::SpinLock> Guard(FS.Lock);
+  std::lock_guard<support::SpinLock> Guard(Into.Lock);
   for (ObjectHeader *Obj : Objs) {
     uint64_t Size = Obj->SizeBytes;
     uint64_t Class = Size >> AlignShift;
     uint64_t Addr = reinterpret_cast<uint64_t>(Obj);
     if (Class < kNumSmallClasses)
-      FS.Small[Class].push_back(Addr);
+      Into.Small[Class].push_back(Addr);
     else
-      FS.Large[Size].push_back(Addr);
+      Into.Large[Size].push_back(Addr);
   }
-  FS.Count.fetch_add(Objs.size(), std::memory_order_relaxed);
+  Into.Count.fetch_add(Objs.size(), std::memory_order_relaxed);
   return static_cast<uint64_t>(Bytes);
 }
 
 JavaHeap::FreeListId JavaHeap::callerFreeList() {
-  return FreeListId{support::detail::metricShard()};
+  return FreeListId{support::threadSlot()};
 }
 
 void JavaHeap::free(ObjectHeader *Obj) {
-  freeToShard({&Obj, 1}, support::detail::metricShard());
+  freeInto({&Obj, 1}, Threads.local());
 }
 
 uint64_t JavaHeap::freeAll(std::span<ObjectHeader *const> Objs,
                            FreeListId Into) {
-  return Objs.empty() ? 0 : freeToShard(Objs, static_cast<unsigned>(Into));
+  return Objs.empty()
+             ? 0
+             : freeInto(Objs, Threads.at(static_cast<unsigned>(Into)));
 }
 
 std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
@@ -413,16 +393,15 @@ std::vector<std::pair<ObjectHeader *, ObjectHeader *>> JavaHeap::compact() {
                         reinterpret_cast<uint64_t>(Obj) + Obj->SizeBytes);
   }
   BumpOffset.store(Frontier - Base, std::memory_order_release);
-  for (unsigned I = 0; I < kNumShards; ++I) {
-    FreeShard &FS = FreeShards[I];
-    std::lock_guard<support::SpinLock> FsGuard(FS.Lock);
-    for (auto &List : FS.Small)
+  Threads.forEach([](ThreadHeap &TH) {
+    std::lock_guard<support::SpinLock> Guard(TH.Lock);
+    for (auto &List : TH.Small)
       List.clear();
-    FS.Large.clear();
-    FS.Count.store(0, std::memory_order_relaxed);
-    Tlabs[I].Cur.store(0, std::memory_order_relaxed);
-    Tlabs[I].End.store(0, std::memory_order_relaxed);
-  }
+    TH.Large.clear();
+    TH.Count.store(0, std::memory_order_relaxed);
+    TH.TlabCur.store(0, std::memory_order_relaxed);
+    TH.TlabEnd.store(0, std::memory_order_relaxed);
+  });
   return Moved;
 }
 
@@ -466,26 +445,21 @@ bool JavaHeap::isLiveObject(ObjectHeader *Ptr) const {
 }
 
 HeapStats JavaHeap::stats() const {
-  // Sum the shards: exact once writers are quiescent (same contract as the
-  // metrics registry).
-  int64_t BytesAllocated = 0, BytesLive = 0, ObjectsAllocated = 0,
-          ObjectsLive = 0, ObjectsFreed = 0, FreeListHits = 0;
-  for (unsigned I = 0; I < kNumShards; ++I) {
-    const StatShard &St = StatShards[I];
-    BytesAllocated += St.BytesAllocated.load(std::memory_order_relaxed);
-    BytesLive += St.BytesLive.load(std::memory_order_relaxed);
-    ObjectsAllocated += St.ObjectsAllocated.load(std::memory_order_relaxed);
-    ObjectsLive += St.ObjectsLive.load(std::memory_order_relaxed);
-    ObjectsFreed += St.ObjectsFreed.load(std::memory_order_relaxed);
-    FreeListHits += St.FreeListHits.load(std::memory_order_relaxed);
-  }
+  // Sum the threads' cells: exact once writers are quiescent (same contract
+  // as the metrics registry). A thread's live counts go negative when it
+  // frees what another thread allocated; the unsigned sums wrap back.
   HeapStats S;
-  S.BytesAllocated = static_cast<uint64_t>(BytesAllocated);
-  S.BytesLive = static_cast<uint64_t>(BytesLive);
-  S.ObjectsAllocated = static_cast<uint64_t>(ObjectsAllocated);
-  S.ObjectsLive = static_cast<uint64_t>(ObjectsLive);
-  S.ObjectsFreed = static_cast<uint64_t>(ObjectsFreed);
-  S.FreeListHits = static_cast<uint64_t>(FreeListHits);
+  auto Add = [](uint64_t &Sum, const std::atomic<int64_t> &Cell) {
+    Sum += static_cast<uint64_t>(Cell.load(std::memory_order_relaxed));
+  };
+  Threads.forEach([&](const ThreadHeap &TH) {
+    Add(S.BytesAllocated, TH.BytesAllocated);
+    Add(S.BytesLive, TH.BytesLive);
+    Add(S.ObjectsAllocated, TH.ObjectsAllocated);
+    Add(S.ObjectsLive, TH.ObjectsLive);
+    Add(S.ObjectsFreed, TH.ObjectsFreed);
+    Add(S.FreeListHits, TH.FreeListHits);
+  });
   return S;
 }
 

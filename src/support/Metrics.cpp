@@ -11,133 +11,63 @@
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 
 namespace mte4jni::support {
 
-namespace detail {
-
-thread_local constinit unsigned MetricShardCache = 0;
-
-namespace {
-
-/// Bit i set <=> shard i is owned by a live thread. acq_rel RMWs order a
-/// releasing thread's final plain-store against the next claimant's
-/// first add on the recycled cell.
-std::atomic<uint32_t> UsedShardMask{0};
-static_assert(kMetricShards < 32,
-              "UsedShardMask is 32 bits; 1u << kMetricShards must be defined");
-
-unsigned claimShard() {
-  uint32_t Mask = UsedShardMask.load(std::memory_order_relaxed);
-  for (;;) {
-    uint32_t Free = ~Mask & ((1u << kMetricShards) - 1);
-    if (Free == 0)
-      return kMetricOverflowShard;
-    unsigned Bit = static_cast<unsigned>(std::countr_zero(Free));
-    if (UsedShardMask.compare_exchange_weak(Mask, Mask | (1u << Bit),
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed))
-      return Bit;
-  }
-}
-
-/// Returns the thread's shard at exit so it can be recycled. Afterwards
-/// the cache points at the overflow shard: a metric touched from a later
-/// thread_local destructor still counts, atomically, instead of writing
-/// to a cell a new thread may now own.
-struct ShardClaim {
-  ~ShardClaim() {
-    unsigned Cached = MetricShardCache;
-    MetricShardCache = kMetricOverflowShard + 1;
-    if (Cached != 0 && Cached - 1 < kMetricShards)
-      UsedShardMask.fetch_and(~(1u << (Cached - 1)),
-                              std::memory_order_acq_rel);
-  }
-};
-
-} // namespace
-
-unsigned assignMetricShardSlow() {
-  unsigned Shard = claimShard();
-  MetricShardCache = Shard + 1;
-  if (Shard != kMetricOverflowShard) {
-    // Touch the releaser so its destructor registers for thread exit.
-    thread_local ShardClaim Claim;
-    (void)Claim;
-  }
-  return Shard;
-}
-
-} // namespace detail
-
 // ==== Counter / Histogram aggregation =====================================
 
 uint64_t Counter::value() const {
   uint64_t Sum = 0;
-  for (const Cell &C : Cells)
+  Cells.forEach([&](const Cell &C) {
     Sum += C.V.load(std::memory_order_relaxed);
+  });
   return Sum;
 }
 
 void Counter::reset() {
-  for (Cell &C : Cells)
-    C.V.store(0, std::memory_order_relaxed);
+  Cells.forEach([](Cell &C) { C.V.store(0, std::memory_order_relaxed); });
 }
 
 uint64_t Histogram::count() const {
-  uint64_t Sum = 0;
-  for (const Shard &S : Shards)
-    Sum += S.Count.load(std::memory_order_relaxed);
-  return Sum;
+  return fold(&Cell::Count, 0, std::plus<>());
 }
 
-uint64_t Histogram::sum() const {
-  uint64_t Sum = 0;
-  for (const Shard &S : Shards)
-    Sum += S.Sum.load(std::memory_order_relaxed);
-  return Sum;
-}
+uint64_t Histogram::sum() const { return fold(&Cell::Sum, 0, std::plus<>()); }
 
 uint64_t Histogram::minValue() const {
-  uint64_t Min = UINT64_MAX;
-  for (const Shard &S : Shards) {
-    uint64_t V = S.Min.load(std::memory_order_relaxed);
-    if (V < Min)
-      Min = V;
-  }
+  uint64_t Min = fold(&Cell::Min, UINT64_MAX, [](uint64_t A, uint64_t B) {
+    return std::min(A, B);
+  });
   return Min == UINT64_MAX ? 0 : Min; // empty histogram reads as 0
 }
 
 uint64_t Histogram::maxValue() const {
-  uint64_t Max = 0;
-  for (const Shard &S : Shards) {
-    uint64_t V = S.Max.load(std::memory_order_relaxed);
-    if (V > Max)
-      Max = V;
-  }
-  return Max;
+  return fold(&Cell::Max, 0,
+              [](uint64_t A, uint64_t B) { return std::max(A, B); });
 }
 
 std::array<uint64_t, Histogram::kBuckets> Histogram::bucketCounts() const {
   std::array<uint64_t, kBuckets> Out = {};
-  for (const Shard &S : Shards)
+  Cells.forEach([&](const Cell &C) {
     for (unsigned B = 0; B < kBuckets; ++B)
-      Out[B] += S.Buckets[B].load(std::memory_order_relaxed);
+      Out[B] += C.Buckets[B].load(std::memory_order_relaxed);
+  });
   return Out;
 }
 
 void Histogram::reset() {
-  for (Shard &S : Shards) {
-    for (unsigned B = 0; B < kBuckets; ++B)
-      S.Buckets[B].store(0, std::memory_order_relaxed);
-    S.Count.store(0, std::memory_order_relaxed);
-    S.Sum.store(0, std::memory_order_relaxed);
-    S.Min.store(UINT64_MAX, std::memory_order_relaxed);
-    S.Max.store(0, std::memory_order_relaxed);
-  }
+  Cells.forEach([](Cell &C) {
+    for (std::atomic<uint64_t> &B : C.Buckets)
+      B.store(0, std::memory_order_relaxed);
+    C.Count.store(0, std::memory_order_relaxed);
+    C.Sum.store(0, std::memory_order_relaxed);
+    C.Min.store(UINT64_MAX, std::memory_order_relaxed);
+    C.Max.store(0, std::memory_order_relaxed);
+  });
 }
 
 uint64_t HistogramSample::percentileUpperBound(double P) const {
@@ -275,7 +205,7 @@ MetricsSnapshot Metrics::snapshot() {
       HistogramSample S;
       S.Name = Name;
       S.Buckets = H->bucketCounts();
-      // Derive count/sum from the same shard reads' era; relaxed reads
+      // Derive count/sum from the same cell reads' era; relaxed reads
       // make this approximate under concurrent writers, exact when
       // quiescent (which is when snapshots are taken in practice).
       S.Count = H->count();

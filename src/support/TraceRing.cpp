@@ -11,7 +11,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -83,17 +82,15 @@ struct ThreadRing {
   std::array<Slot, FlightRecorder::kRingEvents> Slots;
   /// Next write position; Slots[(Head - k) % N] is the k-th newest event.
   std::atomic<uint64_t> Head{0};
-  /// Set at owner-thread exit; a later thread may recycle the ring (which
-  /// resets Head, discarding the dead owner's events).
-  std::atomic<bool> Retired{false};
-  uint32_t Tid = 0;     ///< stable small lane id (registration order)
-  std::string Label;    ///< guarded by Registry::Lock
+  uint32_t Tid = 0;  ///< lane id: the thread slot + 1
+  std::string Label; ///< guarded by Registry::Lock
 };
 
+/// One ring per thread slot, created by the slot's first recording owner
+/// and reused by its later owners.
 struct Registry {
   std::mutex Lock;
-  std::vector<std::unique_ptr<ThreadRing>> Rings;
-  uint32_t NextTid = 1;
+  PerThread<std::atomic<ThreadRing *>> Rings;
 };
 
 /// Leaked singleton: rings must outlive thread_local destructors.
@@ -102,49 +99,37 @@ Registry &registry() {
   return *R;
 }
 
-thread_local ThreadRing *CurrentRing = nullptr;
+/// Whether this thread has cleared its slot's ring of a previous owner's.
+thread_local constinit bool OwnsRing = false;
 
-/// Marks the thread's ring recyclable at thread exit. The events stay
-/// readable (and exportable) until another thread actually claims the ring.
-struct RingReleaser {
-  ~RingReleaser() {
-    if (CurrentRing != nullptr)
-      CurrentRing->Retired.store(true, std::memory_order_release);
-    CurrentRing = nullptr;
-  }
-};
-thread_local RingReleaser Releaser;
-
-ThreadRing *claimRingSlow() {
-  (void)Releaser; // force instantiation of the thread-exit hook
+ThreadRing &threadRing() {
   Registry &R = registry();
+  std::atomic<ThreadRing *> &Cell = R.Rings.local();
+  ThreadRing *Ring = Cell.load(std::memory_order_relaxed);
+  if (M4J_LIKELY(Ring != nullptr && OwnsRing))
+    return *Ring;
   std::lock_guard<std::mutex> Guard(R.Lock);
-  ThreadRing *Ring = nullptr;
-  for (std::unique_ptr<ThreadRing> &Candidate : R.Rings) {
-    if (Candidate->Retired.load(std::memory_order_acquire)) {
-      Ring = Candidate.get();
-      break;
-    }
-  }
   if (Ring == nullptr) {
-    R.Rings.push_back(std::make_unique<ThreadRing>());
-    Ring = R.Rings.back().get();
-    Ring->Tid = R.NextTid++;
+    Ring = new ThreadRing;
+    Ring->Tid = threadSlot() + 1;
+    Cell.store(Ring, std::memory_order_release);
   } else {
-    // Recycled: the previous owner's events are dropped with its label.
+    // The slot's previous owner exited; its events end here.
     Ring->Head.store(0, std::memory_order_relaxed);
     Ring->Label.clear();
   }
-  Ring->Retired.store(false, std::memory_order_relaxed);
-  CurrentRing = Ring;
-  return Ring;
+  OwnsRing = true;
+  return *Ring;
 }
 
-M4J_ALWAYS_INLINE ThreadRing *claimRing() {
-  ThreadRing *Ring = CurrentRing;
-  if (M4J_LIKELY(Ring != nullptr))
-    return Ring;
-  return claimRingSlow();
+/// Calls \p Fn on every ring, under Registry::Lock.
+template <typename Fn> void forEachRing(Fn &&F) {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Guard(R.Lock);
+  R.Rings.forEach([&](const std::atomic<ThreadRing *> &Cell) {
+    if (ThreadRing *Ring = Cell.load(std::memory_order_acquire))
+      F(*Ring);
+  });
 }
 
 const char *flightCategory(FlightKind Kind) {
@@ -279,9 +264,9 @@ void appendFormat(std::string &Out, const char *Fmt, ...) {
 
 void FlightRecorder::record(FlightKind Kind, uint8_t Arg, uint32_t Arg2,
                             uint64_t StartNanos, uint64_t DurNanos) {
-  ThreadRing *Ring = claimRing();
-  uint64_t Head = Ring->Head.load(std::memory_order_relaxed);
-  Slot &S = Ring->Slots[Head % kRingEvents];
+  ThreadRing &Ring = threadRing();
+  uint64_t Head = Ring.Head.load(std::memory_order_relaxed);
+  Slot &S = Ring.Slots[Head % kRingEvents];
   uint64_t Dur = DurNanos > UINT32_MAX ? UINT32_MAX : DurNanos;
   S.Start.store(StartNanos, std::memory_order_relaxed);
   S.DurArg2.store(Dur << 32 | Arg2, std::memory_order_relaxed);
@@ -289,13 +274,13 @@ void FlightRecorder::record(FlightKind Kind, uint8_t Arg, uint32_t Arg2,
                std::memory_order_relaxed);
   // Publish after the payload so the exporter never reads past-the-head
   // garbage in a slot that was never written.
-  Ring->Head.store(Head + 1, std::memory_order_release);
+  Ring.Head.store(Head + 1, std::memory_order_release);
 }
 
 void FlightRecorder::setThreadLabel(std::string_view Label) {
-  ThreadRing *Ring = claimRing();
+  ThreadRing &Ring = threadRing();
   std::lock_guard<std::mutex> Guard(registry().Lock);
-  Ring->Label.assign(Label);
+  Ring.Label.assign(Label);
 }
 
 std::string FlightRecorder::exportChromeJson() {
@@ -305,13 +290,9 @@ std::string FlightRecorder::exportChromeJson() {
     std::string Label;
   };
   std::vector<RingRef> Refs;
-  {
-    Registry &R = registry();
-    std::lock_guard<std::mutex> Guard(R.Lock);
-    Refs.reserve(R.Rings.size());
-    for (std::unique_ptr<ThreadRing> &Ring : R.Rings)
-      Refs.push_back({Ring.get(), Ring->Tid, Ring->Label});
-  }
+  forEachRing([&](ThreadRing &Ring) {
+    Refs.push_back({&Ring, Ring.Tid, Ring.Label});
+  });
 
   std::string Out;
   Out.reserve(4096);
@@ -361,30 +342,26 @@ std::string FlightRecorder::exportChromeJson() {
 }
 
 uint64_t FlightRecorder::eventCount() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Guard(R.Lock);
   uint64_t Total = 0;
-  for (std::unique_ptr<ThreadRing> &Ring : R.Rings) {
-    uint64_t Head = Ring->Head.load(std::memory_order_acquire);
+  forEachRing([&](ThreadRing &Ring) {
+    uint64_t Head = Ring.Head.load(std::memory_order_acquire);
     Total += Head < kRingEvents ? Head : kRingEvents;
-  }
+  });
   return Total;
 }
 
 uint64_t FlightRecorder::totalRecorded() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Guard(R.Lock);
   uint64_t Total = 0;
-  for (std::unique_ptr<ThreadRing> &Ring : R.Rings)
-    Total += Ring->Head.load(std::memory_order_acquire);
+  forEachRing([&](ThreadRing &Ring) {
+    Total += Ring.Head.load(std::memory_order_acquire);
+  });
   return Total;
 }
 
 void FlightRecorder::clear() {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> Guard(R.Lock);
-  for (std::unique_ptr<ThreadRing> &Ring : R.Rings)
-    Ring->Head.store(0, std::memory_order_relaxed);
+  forEachRing([](ThreadRing &Ring) {
+    Ring.Head.store(0, std::memory_order_relaxed);
+  });
 }
 
 } // namespace mte4jni::support

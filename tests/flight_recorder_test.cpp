@@ -353,4 +353,29 @@ TEST_F(FlightTest, ThreadLanesGetDistinctTids) {
             std::string::npos);
 }
 
+// A thread's ring belongs to its thread slot. After the thread exits, its
+// events stay exportable; the next thread in that slot reuses the ring and
+// its first record drops them.
+TEST_F(FlightTest, ExitedThreadsRingIsReusedByItsSlotsNextOwner) {
+  FlightRecorder::record(FlightKind::TlabRefill, 0, 1, 100, 1);
+  unsigned GoneSlot = 0, NextSlot = 0;
+  std::thread([&] {
+    GoneSlot = support::threadSlot();
+    FlightRecorder::setThreadLabel("lane-gone");
+    FlightRecorder::record(FlightKind::TlabRefill, 0, 2, 200, 1);
+  }).join();
+  EXPECT_NE(FlightRecorder::exportChromeJson().find("lane-gone"),
+            std::string::npos);
+  EXPECT_EQ(FlightRecorder::eventCount(), 2u);
+
+  std::thread([&] {
+    NextSlot = support::threadSlot();
+    FlightRecorder::record(FlightKind::TlabRefill, 0, 3, 300, 1);
+  }).join();
+  ASSERT_EQ(NextSlot, GoneSlot) << "a new thread takes the lowest free slot";
+  EXPECT_EQ(FlightRecorder::exportChromeJson().find("lane-gone"),
+            std::string::npos);
+  EXPECT_EQ(FlightRecorder::eventCount(), 2u);
+}
+
 } // namespace

@@ -7,13 +7,14 @@
 //
 // The §3.1 multi-threading claims, end-to-end through the JNI surface:
 // concurrent holders of one array share a tag and never fault; disjoint
-// arrays don't interfere; both lock schemes are correct; mixed
+// arrays don't interfere; every tag-table kind is correct; mixed
 // readers/writers stay coherent; and a misbehaving thread is still caught
 // while well-behaved threads run concurrently.
 //
 //===----------------------------------------------------------------------===//
 
 #include "mte4jni/api/Session.h"
+#include "mte4jni/core/TagTable.h"
 #include "mte4jni/mte/Access.h"
 #include "mte4jni/support/StringUtils.h"
 
@@ -137,20 +138,25 @@ TEST_P(MultithreadTest, OneBadThreadAmongGoodOnes) {
   api::ScopedAttach Main(S, "main");
   rt::HandleScope Scope(S.runtime());
 
-  jni::jarray Good = Main.env().NewIntArray(Scope, 256);
+  // One array per good thread: their writes and (under guarded copy)
+  // copy-backs never touch the same memory.
+  constexpr int kGoodThreads = 4;
+  std::vector<jni::jarray> Good;
+  for (int T = 0; T < kGoodThreads; ++T)
+    Good.push_back(Main.env().NewIntArray(Scope, 256));
   jni::jarray Victim = Main.env().NewIntArray(Scope, 16);
 
   std::vector<std::thread> Threads;
-  for (int T = 0; T < 4; ++T) {
-    Threads.emplace_back([&S, Good] {
+  for (jni::jarray Mine : Good) {
+    Threads.emplace_back([&S, Mine] {
       api::ScopedAttach Me(S, "good");
       for (int I = 0; I < 100; ++I) {
         rt::callNative(Me.thread(), rt::NativeKind::Regular, "good", [&] {
           jni::jboolean IsCopy;
-          auto P = Me.env().GetIntArrayElements(Good, &IsCopy);
+          auto P = Me.env().GetIntArrayElements(Mine, &IsCopy);
           for (int K = 0; K < 256; ++K)
             mte::store<jni::jint>(P + K, K);
-          Me.env().ReleaseIntArrayElements(Good, P, 0);
+          Me.env().ReleaseIntArrayElements(Mine, P, 0);
           return 0;
         });
       }
@@ -179,8 +185,8 @@ TEST_P(MultithreadTest, OneBadThreadAmongGoodOnes) {
 std::string mtParamName(
     const ::testing::TestParamInfo<MtParams> &Info) {
   std::string Name = api::schemeName(Info.param.Protection);
-  Name += Info.param.Locks == TagTableKind::TwoTierMutex ? "_twotier"
-                                                         : "_global";
+  Name += '_';
+  Name += core::tagTableKindName(Info.param.Locks);
   for (char &C : Name)
     if (!isalnum(static_cast<unsigned char>(C)))
       C = '_';
@@ -192,8 +198,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         MtParams{api::Scheme::NoProtection, TagTableKind::TwoTierMutex},
         MtParams{api::Scheme::GuardedCopy, TagTableKind::TwoTierMutex},
+        MtParams{api::Scheme::Mte4JniSync, TagTableKind::LockFree},
         MtParams{api::Scheme::Mte4JniSync, TagTableKind::TwoTierMutex},
         MtParams{api::Scheme::Mte4JniSync, TagTableKind::GlobalLock},
+        MtParams{api::Scheme::Mte4JniAsync, TagTableKind::LockFree},
         MtParams{api::Scheme::Mte4JniAsync, TagTableKind::TwoTierMutex},
         MtParams{api::Scheme::Mte4JniAsync, TagTableKind::GlobalLock}),
     mtParamName);

@@ -267,13 +267,13 @@ TEST_F(MteAccessBoundaryTest, CheckedLoadsVsRegionChurn) {
 }
 
 // The mte/access/* counters are derived from per-thread ThreadState cells.
-// With more threads than the registry has exclusive shards, half of them
+// With more threads than there are inline thread slots, half of them
 // exited before the snapshot and half still live, every count must still
 // be exact; snapshots taken while threads count must be race-free (the
 // TSan job runs this); and resetAll must zero all four names.
 TEST_F(MteAccessBoundaryTest, DerivedAccessCountersAreExact) {
   constexpr unsigned kThreads = 40;
-  static_assert(kThreads > support::kMetricShards);
+  static_assert(kThreads > support::kInlineThreadSlots);
   const char *const kNames[] = {
       "mte/access/checked_loads", "mte/access/checked_stores",
       "mte/access/checked_granules", "mte/access/region_cache_hit"};

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -163,9 +164,8 @@ TEST(RtHeapConcurrent, ForEachObjectCallbackMayTouchHeap) {
 }
 
 TEST(RtHeapConcurrent, MoreThreadsThanShardsReconcile) {
-  // Threads beyond the exclusive shard count share the overflow shard,
-  // which never owns a TLAB (always the locked slow path) but must stay
-  // exact on stats.
+  // More threads than inline thread slots: the later threads' TLABs, free
+  // lists and stat cells live in chunks, and the stats must stay exact.
   JavaHeap Heap(plainHeapConfig());
   constexpr unsigned kManyThreads = 20;
   constexpr unsigned kIters = 300;
@@ -190,6 +190,37 @@ TEST(RtHeapConcurrent, MoreThreadsThanShardsReconcile) {
   EXPECT_EQ(Stats.ObjectsFreed, Stats.ObjectsAllocated);
   EXPECT_EQ(Stats.ObjectsLive, 0u);
   EXPECT_EQ(Stats.BytesLive, 0u);
+}
+
+TEST(RtHeapConcurrent, EveryLiveThreadBumpsItsOwnTlab) {
+  // More than 16 threads allocate at once, in a heap whose frontier does
+  // not run out: each has a TLAB of its own, so no small allocation takes
+  // the locked direct carve (rt/heap/tlab_fallback).
+  JavaHeap Heap(plainHeapConfig());
+  constexpr unsigned kManyThreads = 24;
+  constexpr unsigned kIters = 200;
+  static_assert(kManyThreads > support::kInlineThreadSlots);
+  support::MetricsSnapshot Before = support::Metrics::snapshot();
+  std::barrier Live(kManyThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < kManyThreads; ++T)
+    Threads.emplace_back([&] {
+      Live.arrive_and_wait();
+      for (unsigned I = 0; I < kIters; ++I)
+        EXPECT_NE(Heap.allocPrimArray(PrimType::Int, 16), nullptr);
+      Live.arrive_and_wait(); // no thread exits while another allocates
+    });
+  for (auto &Th : Threads)
+    Th.join();
+
+  support::MetricsSnapshot After = support::Metrics::snapshot();
+  auto Delta = [&](const char *Name) {
+    return After.counterValue(Name) - Before.counterValue(Name);
+  };
+  EXPECT_EQ(Delta("rt/heap/tlab_fallback"), 0u);
+  EXPECT_EQ(Delta("rt/heap/tlab_hit") + Delta("rt/heap/tlab_refill"),
+            uint64_t(kManyThreads) * kIters);
+  EXPECT_EQ(Heap.stats().ObjectsAllocated, uint64_t(kManyThreads) * kIters);
 }
 
 TEST(RtHeapConcurrent, AllocWhileBackgroundGcRuns) {

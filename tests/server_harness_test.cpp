@@ -100,14 +100,13 @@ TEST_F(ServerHarnessTest, TenantNamespacesPartitionTheGlobalCounts) {
 
 // ==== snapshot exactness under load ========================================
 
-// A snapshot taken after the workers quiesce must be EXACT — the sharded
-// registry (exclusive per-thread shards + overflow shard) may relax
-// intra-run visibility but not lose updates. More workers than shards
-// forces the overflow shard's fetch_add path.
+// A snapshot taken after the workers quiesce must be EXACT — the registry's
+// per-thread cells may relax intra-run visibility but not lose updates.
+// More workers than inline thread slots puts some cells in chunks.
 TEST_F(ServerHarnessTest, QuiescentSnapshotIsExactAcrossShards) {
   ServerConfig C = quickConfig();
   C.NumTenants = 4;
-  C.NumWorkers = 20; // > kMetricShards=16: overflow shard in play
+  C.NumWorkers = 20; // > kInlineThreadSlots: chunked cells in play
   C.DurationMillis = 120;
   ServerResult R = runScheme(api::Scheme::NoProtection, C,
                              /*BackgroundGc=*/false);

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <cctype>
 #include <thread>
 #include <vector>
@@ -160,14 +162,13 @@ TEST_F(MetricsTest, HistogramConcurrentRecordsConsistentSnapshot) {
   EXPECT_GT(Sample->mean(), 0.0);
 }
 
-// Cross-shard merge: more writer threads than exclusive shards, so some
-// land on the shared overflow cell, with exactly computable totals. Every
-// sample must be accounted exactly once across Count, Sum, the bucket
-// array, and the per-shard Min/Max reduction.
+// Cross-cell merge: more writer threads than inline thread slots, so some
+// cells live in chunks, with exactly computable totals. Every sample must
+// be accounted exactly once across Count, Sum, the bucket array, and the
+// per-cell Min/Max reduction.
 TEST_F(MetricsTest, HistogramCrossShardMergeAccountsEverySampleOnce) {
   support::Histogram &H = Metrics::histogram("test/cross_shard_hist");
-  // More threads than the registry has exclusive shards (16): the surplus
-  // contends on the overflow cell's CAS min/max path.
+  // More threads than there are inline thread slots (16).
   constexpr int kThreads = 24;
   constexpr uint64_t kPerThread = 2000;
   std::vector<std::thread> Threads;
@@ -204,6 +205,96 @@ TEST_F(MetricsTest, HistogramCrossShardMergeAccountsEverySampleOnce) {
   support::Histogram &Empty = Metrics::histogram("test/empty_hist");
   EXPECT_EQ(Empty.minValue(), 0u);
   EXPECT_EQ(Empty.maxValue(), 0u);
+}
+
+// 64+ threads live at once: each owns a distinct thread slot, so each
+// writes only its own counter and histogram cells, and the merged totals
+// are exact.
+TEST_F(MetricsTest, ManyLiveThreadsOwnDistinctSlots) {
+  support::Counter &C = Metrics::counter("test/slots/counter");
+  support::Histogram &H = Metrics::histogram("test/slots/hist");
+  constexpr unsigned kThreads = 72;
+  constexpr uint64_t kPerThread = 1000;
+  static_assert(kThreads > 4 * support::kInlineThreadSlots);
+  std::vector<unsigned> Slots(kThreads);
+  std::barrier Live(kThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < kThreads; ++T)
+    Threads.emplace_back([&, T] {
+      Slots[T] = support::threadSlot();
+      Live.arrive_and_wait(); // every writer is live from here on
+      for (uint64_t I = 1; I <= kPerThread; ++I) {
+        C.add(2);
+        H.record(I * (T + 1)); // thread T records T+1, ..., 1000(T+1)
+      }
+      Live.arrive_and_wait();
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  std::sort(Slots.begin(), Slots.end());
+  EXPECT_EQ(std::adjacent_find(Slots.begin(), Slots.end()), Slots.end())
+      << "two live threads shared a slot";
+  EXPECT_LT(Slots.back(), support::kMaxThreadSlots);
+  EXPECT_EQ(C.value(), 2 * kThreads * kPerThread);
+  EXPECT_EQ(H.count(), kThreads * kPerThread);
+  EXPECT_EQ(H.sum(),
+            (kThreads * (kThreads + 1) / 2) * (kPerThread * (kPerThread + 1) / 2));
+  EXPECT_EQ(H.minValue(), 1u);
+  EXPECT_EQ(H.maxValue(), kPerThread * kThreads);
+}
+
+// Thread churn: short threads count only from a thread_local destructor,
+// which runs before their slot is returned, so the count lands in the
+// thread's own cell. Every count lands exactly once, and a new thread takes
+// the lowest free slot, so slots stay below the peak number of live
+// threads however many threads have come and gone.
+std::atomic<unsigned> SlotChangedAtExit{0};
+struct CountAtExit {
+  support::Counter &C = Metrics::counter("test/churn/counter");
+  support::Histogram &H = Metrics::histogram("test/churn/hist");
+  uint64_t Value = 0;
+  unsigned Slot = 0;
+  ~CountAtExit() {
+    C.add();
+    H.record(Value);
+    if (support::threadSlot() != Slot)
+      SlotChangedAtExit.fetch_add(1);
+  }
+};
+thread_local CountAtExit AtExit;
+
+TEST_F(MetricsTest, ThreadChurnCountsFromThreadLocalDestructors) {
+  constexpr unsigned kSpawners = 8;
+  constexpr unsigned kPerSpawner = 250;
+  // main, the spawners, and one short thread per spawner.
+  constexpr unsigned kPeakLive = 1 + 2 * kSpawners;
+  std::atomic<unsigned> MaxSlot{0};
+  std::vector<std::thread> Spawners;
+  for (unsigned S = 0; S < kSpawners; ++S)
+    Spawners.emplace_back([&, S] {
+      for (unsigned I = 0; I < kPerSpawner; ++I)
+        std::thread([&, V = uint64_t(S) * kPerSpawner + I + 1] {
+          unsigned Slot = support::threadSlot();
+          AtExit.Value = V;
+          AtExit.Slot = Slot;
+          unsigned Seen = MaxSlot.load();
+          while (Slot > Seen && !MaxSlot.compare_exchange_weak(Seen, Slot))
+            ;
+        }).join();
+    });
+  for (std::thread &T : Spawners)
+    T.join();
+
+  constexpr uint64_t kTotal = uint64_t(kSpawners) * kPerSpawner;
+  EXPECT_EQ(Metrics::counter("test/churn/counter").value(), kTotal);
+  support::Histogram &H = Metrics::histogram("test/churn/hist");
+  EXPECT_EQ(H.count(), kTotal);
+  EXPECT_EQ(H.sum(), kTotal * (kTotal + 1) / 2);
+  EXPECT_EQ(H.minValue(), 1u);
+  EXPECT_EQ(H.maxValue(), kTotal);
+  EXPECT_LT(MaxSlot.load(), kPeakLive);
+  EXPECT_EQ(SlotChangedAtExit.load(), 0u);
 }
 
 TEST_F(MetricsTest, HistogramPercentileUpperBound) {
