@@ -164,8 +164,8 @@ void BM_LoadCheckedCacheMiss(benchmark::State &State) {
 BENCHMARK(BM_LoadCheckedCacheMiss);
 
 /// Range-scan row: one checkReadRange over N bytes resolves to a single
-/// two-level walk of the cached region's shadow. This is the path bulk
-/// copies (GetByteArrayRegion, memcpy shims) ride.
+/// packed scan of the cached region's shadow (N/32 shadow bytes). This is
+/// the path bulk copies (GetByteArrayRegion, memcpy shims) ride.
 void BM_CheckRangeScan(benchmark::State &State) {
   mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::Sync);
   mte::ThreadState::current().setTco(false);
@@ -181,61 +181,6 @@ void BM_CheckRangeScan(benchmark::State &State) {
   State.SetBytesProcessed(int64_t(State.iterations()) * int64_t(Bytes));
 }
 BENCHMARK(BM_CheckRangeScan)->Range(256, 256 << 10);
-
-/// Two-level fast path: a checked range over a uniformly-tagged buffer is
-/// resolved almost entirely from line summaries — one byte compare per 64
-/// granules, SWAR-swept. Arg is GRANULES (4096 = 64 KiB ... 262144 =
-/// 4 MiB); compare against BM_TagScanSwar at the same granule count for
-/// the summary-vs-granule-sweep win (the >=10x acceptance gate).
-void BM_CheckRangeUniform(benchmark::State &State) {
-  mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::Sync);
-  mte::ThreadState::current().setTco(false);
-  uint64_t Granules = static_cast<uint64_t>(State.range(0));
-  uint64_t Bytes = Granules * mte::kGranuleSize;
-  void *Buf = arena().allocate(Bytes);
-  auto P = mte::TaggedPtr<void>::fromRaw(Buf, 11);
-  mte::setTagRange(P, Bytes); // publishes Uniform(11) line summaries
-  for (auto _ : State)
-    mte::checkReadRange(P.cast<const void>(), Bytes);
-  mte::clearTagRange(reinterpret_cast<uint64_t>(Buf), Bytes);
-  arena().deallocate(Buf);
-  mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::None);
-  State.SetItemsProcessed(int64_t(State.iterations()) * int64_t(Granules));
-}
-BENCHMARK(BM_CheckRangeUniform)->Arg(4096)->Arg(65536)->Arg(262144);
-
-/// Two-level WORST case: every line is Mixed (a foreign tag planted in
-/// its last granule), so each check drops to the packed-nibble kernels.
-/// Each iteration checks the first 63 granules of one line — never the
-/// whole line, so lines are never re-promoted and the fallback path stays
-/// hot. Guards the <=10% regression budget vs the old byte-shadow scan.
-void BM_CheckRangeMixed(benchmark::State &State) {
-  mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::Sync);
-  mte::ThreadState::current().setTco(false);
-  constexpr uint64_t kLines = 1024; // 64 Ki granules, 1 MiB
-  uint64_t Bytes = kLines * mte::kLineBytes;
-  void *Buf = arena().allocate(Bytes);
-  auto P = mte::TaggedPtr<void>::fromRaw(Buf, 11);
-  mte::setTagRange(P, Bytes);
-  for (uint64_t L = 0; L < kLines; ++L) // demote every line
-    mte::stg(mte::TaggedPtr<void>::fromRaw(
-        static_cast<uint8_t *>(Buf) + (L + 1) * mte::kLineBytes -
-            mte::kGranuleSize,
-        3));
-  uint64_t I = 0;
-  for (auto _ : State) {
-    auto Line = P.plusBytes(
-        static_cast<ptrdiff_t>((I++ & (kLines - 1)) * mte::kLineBytes));
-    mte::checkReadRange(Line.cast<const void>(),
-                        (mte::kLineGranules - 1) * mte::kGranuleSize);
-  }
-  mte::clearTagRange(reinterpret_cast<uint64_t>(Buf), Bytes);
-  arena().deallocate(Buf);
-  mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::None);
-  State.SetItemsProcessed(int64_t(State.iterations()) *
-                          int64_t(mte::kLineGranules - 1));
-}
-BENCHMARK(BM_CheckRangeMixed);
 
 /// Raw shadow-scan kernels over N granule tags: the scalar reference vs
 /// the SWAR word scan every tag check uses.

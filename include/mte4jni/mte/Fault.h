@@ -23,6 +23,7 @@
 #include "mte4jni/support/SpinLock.h"
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -89,14 +90,15 @@ enum class FaultAction : uint8_t {
 /// Handler invoked on the faulting thread for every record.
 using FaultHandler = FaultAction (*)(void *Context, const FaultRecord &Record);
 
-/// Process-wide, thread-safe fault log. Bounded: after kMaxStored records
-/// only counters advance.
+/// Process-wide, thread-safe fault log. Bounded: it keeps the newest
+/// kMaxStored records, dropping the oldest; the counters count every fault.
 class FaultLog {
 public:
   static constexpr size_t kMaxStored = 1024;
 
   void append(FaultRecord Record);
 
+  /// Stored records, oldest first.
   std::vector<FaultRecord> snapshot() const;
   void clear();
 
@@ -107,7 +109,7 @@ public:
 
 private:
   mutable support::SpinLock Lock;
-  std::vector<FaultRecord> Records;
+  std::deque<FaultRecord> Records;
   uint64_t Total = 0;
   uint64_t Counts[4] = {0, 0, 0, 0};
 };

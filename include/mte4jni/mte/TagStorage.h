@@ -1,4 +1,4 @@
-//===- TagStorage.h - Two-level shadow storage for granule tags ----*- C++ -*-===//
+//===- TagStorage.h - Packed shadow storage for granule tags -------*- C++ -*-===//
 //
 // Part of the MTE4JNI reproduction project.
 // SPDX-License-Identifier: MIT
@@ -7,27 +7,15 @@
 ///
 /// \file
 /// Real MTE keeps allocation tags in dedicated tag RAM for pages mapped
-/// with PROT_MTE. The simulator keeps a TWO-LEVEL store per registered
-/// region; memory outside any registered region is unchecked, exactly
-/// like non-PROT_MTE pages on hardware.
+/// with PROT_MTE. The simulator keeps a packed granule shadow per
+/// registered region; memory outside any registered region is unchecked,
+/// exactly like non-PROT_MTE pages on hardware.
 ///
-///   * Level 0 — packed granule shadow: tags are 4 bits, so two granules
-///     share one shadow byte (even granule = low nibble, odd = high).
-///     This level is always authoritative and costs regionSize/32 bytes,
-///     half of the seed's byte-per-granule array.
-///   * Level 1 — per-line summaries: one byte per 64-granule (1 KiB)
-///     line, holding either Uniform(tag) (the value 0..15 itself) or
-///     kSummaryMixed. Real tag traffic is overwhelmingly uniform at line
-///     granularity (allocators colour whole objects), so bulk checks
-///     walk this level first: a uniformly-tagged buffer costs one byte
-///     compare per 64 granules — SWAR-swept for large ranges — and
-///     only Mixed lines fall back to the packed nibble scan.
-///
-/// Maintenance invariants (see DESIGN.md §13 for the full race argument):
-/// a write covering a whole line publishes Uniform(tag) after its nibble
-/// fill; any narrower write demotes its line to Mixed (an atomic RMW,
-/// AFTER the nibble write); scans lazily re-promote a Mixed line found
-/// uniform via CAS + acquire + validating re-scan.
+/// Tags are 4 bits, so two granules share one shadow byte (even granule =
+/// low nibble, odd = high). The shadow costs regionSize/32 bytes, half of
+/// the seed's byte-per-granule array. Every tag read, write and range
+/// check goes to these nibbles; DESIGN.md §13 gives the packed-byte
+/// discipline that keeps concurrent writers and checkers race-free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,22 +25,12 @@
 #include "mte4jni/mte/Tag.h"
 #include "mte4jni/support/Compiler.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 namespace mte4jni::mte {
-
-/// Summary-line geometry: one summary byte covers 64 granules (1 KiB).
-inline constexpr uint64_t kLineGranules = 64;
-inline constexpr unsigned kLineShift = 6;
-inline constexpr uint64_t kLineBytes = kLineGranules * kGranuleSize;
-
-/// Summary value meaning "consult the packed granule shadow". Tags are
-/// 0..15, so any value >= kNumTags is unambiguous.
-inline constexpr uint8_t kSummaryMixed = 0xFF;
 
 namespace detail {
 
@@ -66,9 +44,8 @@ extern std::atomic<uint64_t> RegionPublishEpoch;
 
 // -- byte-array kernels ---------------------------------------------------
 // First index in [0, Count) whose byte differs from Expected, or
-// UINT64_MAX. These scan one byte per element: the summary sweep uses
-// them directly (one byte per 64-granule line), and the packed-nibble
-// kernels below reuse them over packed bytes with a both-nibbles pattern.
+// UINT64_MAX. These scan one byte per element; the packed-nibble kernels
+// below run them over packed bytes with a both-nibbles pattern.
 
 /// Reference byte-at-a-time scan; equivalence-test baseline.
 uint64_t scanMismatchScalar(const uint8_t *Tags, uint64_t Count,
@@ -93,15 +70,9 @@ uint64_t scanMismatchPackedScalar(const uint8_t *Packed, uint64_t FirstGranule,
 uint64_t scanMismatchPacked(const uint8_t *Packed, uint64_t FirstGranule,
                             uint64_t Count, TagValue Expected);
 
-/// Flight-recorder attribution for a range check over \p Granules
-/// granules (the CheckScan event's Arg): 1 = summary-assisted two-level
-/// walk (ranges spanning at least one full line), 0 = packed scan of the
-/// granules within one line.
-unsigned checkKernelFor(uint64_t Granules);
-
 } // namespace detail
 
-/// Two-level shadow tags for one contiguous registered (PROT_MTE) region.
+/// Packed shadow tags for one contiguous registered (PROT_MTE) region.
 class TaggedRegion {
 public:
   TaggedRegion(uint64_t Begin, uint64_t Size);
@@ -124,23 +95,20 @@ public:
 
   /// Sets the tag of the granule containing \p Addr: a CAS loop on the
   /// shared packed byte (the sibling granule's nibble must survive
-  /// concurrent writers), then a demote of the line summary to Mixed.
+  /// concurrent writers).
   void setTagAt(uint64_t Addr, TagValue Tag);
 
   /// Sets all granules overlapping [From, To) to \p Tag; returns the number
   /// of granules written. Clamps to the region. Bulk path: boundary nibbles
   /// CAS, interior packed bytes memset — on hardware STG retires at store
   /// speed, so the simulator must not pay more than a half-byte store per
-  /// granule — then wholly-covered lines publish Uniform(tag) in O(lines)
-  /// and partial edge lines demote to Mixed.
+  /// granule.
   uint64_t setTagRange(uint64_t From, uint64_t To, TagValue Tag);
 
   /// Scans granules [FirstIdx, LastIdx] for any tag != \p Expected;
   /// returns the index of the first mismatch, or UINT64_MAX when all
-  /// match. Bulk analog of per-access checks for memcpy-style transfers.
-  /// Walks line summaries first (one compare per uniform line, SWAR
-  /// over summary bytes for multi-line spans) and packed-scans only Mixed
-  /// lines, lazily re-promoting any it proves uniform.
+  /// match. Bulk analog of per-access checks for memcpy-style transfers:
+  /// one packed scan, 16 granules per SWAR word.
   uint64_t findMismatch(uint64_t FirstIdx, uint64_t LastIdx,
                         TagValue Expected) const;
 
@@ -152,47 +120,24 @@ public:
   uint64_t countTagged(uint64_t From, uint64_t To) const;
 
   uint64_t granuleCount() const { return NumGranules; }
-  uint64_t lineCount() const { return NumLines; }
 
-  /// Level-0 footprint: packed granule shadow bytes (2 tags per byte).
+  /// Footprint: packed granule shadow bytes (2 tags per byte).
   uint64_t shadowBytes() const { return PackedBytes; }
-  /// Level-1 footprint: one summary byte per line.
-  uint64_t summaryBytes() const { return NumLines; }
-
-  /// Raw packed shadow (2 granule tags per byte); diagnostics/tests.
-  const uint8_t *packedTags() const { return Packed.get(); }
-  /// Raw line summaries (tag value 0..15 = Uniform, kSummaryMixed);
-  /// diagnostics/tests.
-  const uint8_t *lineSummaries() const { return Summary.get(); }
 
 private:
-  /// Granules actually present in line \p Line (the region's last line
-  /// may be short).
-  uint64_t lineGranules(uint64_t Line) const {
-    uint64_t First = Line << kLineShift;
-    return std::min(kLineGranules, NumGranules - First);
-  }
-
-  /// CAS + validating re-scan promotion of a Mixed line the caller just
-  /// scanned as uniformly \p Tag. Logically const: summaries are a cache
-  /// over the authoritative packed level.
-  void promoteLineIfUniform(uint64_t Line, TagValue Tag) const;
-
   /// Writes the single granule \p G's nibble via CAS on its shared byte.
   void storeNibble(uint64_t G, TagValue Tag);
 
   uint64_t Begin;
   uint64_t End;
   uint64_t NumGranules;
-  uint64_t NumLines;
   uint64_t PackedBytes;
-  // Plain byte arrays: single-granule/summary accesses go through
-  // std::atomic_ref (CAS/RMW where a byte is shared), bulk fill/scan
-  // through vectorisable loops. Concurrent tag store vs. tag check is
-  // racy on hardware too (either the old or new tag wins); DESIGN.md §13
-  // gives the argument for why no *persistently* wrong summary survives.
+  // Plain byte array: bytes shared with a neighbour go through
+  // std::atomic_ref (CAS where written, relaxed load where scanned), bulk
+  // fill/scan through vectorisable loops. Concurrent tag store vs. tag
+  // check is racy on hardware too (either the old or new tag wins);
+  // DESIGN.md §13 gives the exclusion argument for the plain body bytes.
   std::unique_ptr<uint8_t[]> Packed;
-  std::unique_ptr<uint8_t[]> Summary;
 };
 
 /// An immutable snapshot of the registered regions. Lookups are a short

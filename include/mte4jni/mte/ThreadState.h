@@ -120,10 +120,6 @@ public:
 
   uint64_t threadId() const { return Id; }
 
-  /// Re-reads the process default check mode (called when the process mode
-  /// changes while the thread already exists).
-  void syncModeFromProcess();
-
   // -- region cache (same-thread only; the checked-access fast path) ------
   /// Last region this thread's checked accesses hit, or nullptr. Valid only
   /// while cachedRegionEpoch() still equals detail::RegionPublishEpoch —

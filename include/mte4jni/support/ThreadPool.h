@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size thread pool used by the multi-core benchmark harness
-/// (Figures 6 and 8). Deliberately simple: a work queue, a parallel-for
-/// helper, and a barrier-style wait.
+/// A fixed-size thread pool; the GC's `gc-worker` pool runs its parallel
+/// mark, sweep and rewrite phases on it. Deliberately simple: a work
+/// queue, a parallel-for helper, and a barrier-style wait.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -63,8 +63,7 @@ enum class FlightKind : uint8_t {
   TagAcquire,   ///< TagAllocator::acquire; Arg = outcome (0 fast,
                 ///< 1+reason, or kTagOutcomeMutex)
   TagRelease,   ///< TagAllocator::release; Arg = outcome as TagAcquire
-  CheckScan,    ///< mte tag-check range scan; Arg = 0 packed line scan,
-                ///< 1 summary walk (detail::checkKernelFor); Arg2 = granules
+  CheckScan,    ///< mte tag-check range scan; Arg2 = granules
   GcPhase,      ///< Arg = GcFlightPhase
   TlabRefill,   ///< Arg2 = bytes taken from the shared frontier
   Fault,        ///< Arg = 0 sync, 1 async

@@ -446,10 +446,7 @@ void TagAllocator::releaseLockFreeSlow(uint64_t Begin, uint64_t End,
         // kind): move to {0, resident=0} first — a racing fast-path
         // increment makes this CAS fail — then clear the granule tags so
         // the tag becomes available again and dangling tagged pointers
-        // fault immediately, the paper's Algorithm 2 step 3. The clear
-        // also restores Uniform(0) summaries for wholly-covered lines in
-        // the two-level store, un-fragmenting whatever the object's
-        // lifetime demoted (DESIGN.md §13).
+        // fault immediately, the paper's Algorithm 2 step 3.
         if (S->State.compare_exchange_weak(
                 St, TagTable::packState(TagTable::epochOf(St), 0),
                 std::memory_order_acq_rel, std::memory_order_acquire)) {

@@ -202,11 +202,9 @@ M4J_NOINLINE bool checkRangeSlow(ThreadState &TS, uint64_t Bits,
     return true; // not PROT_MTE memory
 
   TS.countAccess(IsWrite, Granules);
-  if (Lat.armed()) {
-    Lat.setArg(static_cast<uint8_t>(detail::checkKernelFor(Granules)));
+  if (Lat.armed())
     Lat.setArg2(static_cast<uint32_t>(
         Granules > UINT32_MAX ? UINT32_MAX : Granules));
-  }
   if (Container != nullptr)
     TS.cacheRegion(Pin->findShared(Address), Pin.epoch());
   return true;
@@ -225,7 +223,7 @@ M4J_ALWAYS_INLINE bool checkRange(uint64_t Bits, uint64_t Bytes,
     return true;
 
   // ~1/64 of checks record a latency sample and a CheckScan flight slice
-  // (kernel choice + granule count filled in below, once known).
+  // (granule count filled in below, once known).
   static support::Histogram &CheckNanos =
       support::Metrics::histogram("mte/access/check_range_nanos");
   support::SampledLatency Lat(CheckNanos, support::FlightKind::CheckScan);
@@ -246,11 +244,9 @@ M4J_ALWAYS_INLINE bool checkRange(uint64_t Bits, uint64_t Bytes,
         granuleIndex(support::alignDown(Address + Bytes - 1, kGranuleSize),
                      Cached->begin());
     uint64_t Granules = LastIdx - FirstIdx + 1;
-    if (M4J_UNLIKELY(Lat.armed())) {
-      Lat.setArg(static_cast<uint8_t>(detail::checkKernelFor(Granules)));
+    if (M4J_UNLIKELY(Lat.armed()))
       Lat.setArg2(static_cast<uint32_t>(
           Granules > UINT32_MAX ? UINT32_MAX : Granules));
-    }
     uint64_t Bad = Cached->findMismatch(FirstIdx, LastIdx, PointerTag);
     if (M4J_LIKELY(Bad == UINT64_MAX)) {
       TS.countAccess(IsWrite, Granules);

@@ -93,13 +93,14 @@ void FaultLog::append(FaultRecord Record) {
   std::lock_guard<support::SpinLock> Guard(Lock);
   ++Total;
   ++Counts[static_cast<size_t>(Record.Kind)];
-  if (Records.size() < kMaxStored)
-    Records.push_back(std::move(Record));
+  if (Records.size() == kMaxStored)
+    Records.pop_front();
+  Records.push_back(std::move(Record));
 }
 
 std::vector<FaultRecord> FaultLog::snapshot() const {
   std::lock_guard<support::SpinLock> Guard(Lock);
-  return Records;
+  return {Records.begin(), Records.end()};
 }
 
 void FaultLog::clear() {

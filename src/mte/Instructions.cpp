@@ -81,12 +81,8 @@ TaggedPtr<void> ldg(TaggedPtr<void> Ptr) {
 
 namespace {
 
-/// Shared implementation for STG/ST2G/bulk stores. Summary maintenance is
-/// free here: setTagRange publishes Uniform(tag) line summaries for any
-/// wholly-covered 64-granule line and demotes partial edge lines, so a
-/// single stg fragments (demotes) its line while TLAB scrubs and
-/// deferred-clear reclaims publish uniform lines the two-level check
-/// walk then skips in one byte compare (DESIGN.md §13).
+/// Shared implementation for STG/ST2G/bulk stores: one setTagRange over
+/// the packed shadow (DESIGN.md §13).
 void storeTags(uint64_t Addr, uint64_t Granules, TagValue Tag) {
   MteSystem &System = MteSystem::instance();
   RegionPin Pin(System);

@@ -78,24 +78,19 @@ void MteSystem::publishRegions(
     std::vector<std::shared_ptr<TaggedRegion>> NewRegions) {
   auto *NewList = new RegionList(std::move(NewRegions));
   // Shadow-footprint gauges track the CURRENT region set (set, not add, so
-  // unregister and reset are reflected). shadow_bytes is the packed level
-  // only — regionSize/32 — which is what the CI RSS assertion checks;
-  // summary_bytes is the level-1 overhead on top.
+  // unregister and reset are reflected). shadow_bytes is the packed shadow,
+  // regionSize/32, which is what the CI RSS assertion checks.
   {
     static support::Gauge &ShadowBytes =
         support::Metrics::gauge("mte/tagstore/shadow_bytes");
-    static support::Gauge &SummaryBytes =
-        support::Metrics::gauge("mte/tagstore/summary_bytes");
     static support::Gauge &RegionBytes =
         support::Metrics::gauge("mte/tagstore/region_bytes");
-    uint64_t Shadow = 0, Summaries = 0, Covered = 0;
+    uint64_t Shadow = 0, Covered = 0;
     for (const auto &Region : NewList->regions()) {
       Shadow += Region->shadowBytes();
-      Summaries += Region->summaryBytes();
       Covered += Region->size();
     }
     ShadowBytes.set(Shadow);
-    SummaryBytes.set(Summaries);
     RegionBytes.set(Covered);
   }
   const RegionList *Old =

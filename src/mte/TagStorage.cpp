@@ -1,4 +1,4 @@
-//===- TagStorage.cpp - Two-level shadow storage for granule tags --------------===//
+//===- TagStorage.cpp - Packed shadow storage for granule tags -----------------===//
 //
 // Part of the MTE4JNI reproduction project.
 // SPDX-License-Identifier: MIT
@@ -6,8 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "mte4jni/mte/TagStorage.h"
-
-#include "mte4jni/support/Metrics.h"
 
 #include <algorithm>
 #include <bit>
@@ -58,10 +56,6 @@ uint64_t scanMismatch(const uint8_t *Tags, uint64_t Count, TagValue Expected) {
     if (M4J_UNLIKELY(Tags[I] != Expected))
       return I;
   return UINT64_MAX;
-}
-
-unsigned checkKernelFor(uint64_t Granules) {
-  return Granules >= kLineGranules ? 1 : 0;
 }
 
 namespace {
@@ -130,43 +124,16 @@ uint64_t scanMismatchPackedScalar(const uint8_t *Packed, uint64_t FirstGranule,
   return UINT64_MAX;
 }
 
-namespace {
-
-/// Two-level walk instrumentation; all cheap sharded adds (the per-line
-/// bookkeeping is batched per findMismatch call, not per line).
-struct TagStoreMetrics {
-  support::Counter &UniformHit =
-      support::Metrics::counter("mte/tagstore/uniform_hit");
-  support::Counter &MixedFallback =
-      support::Metrics::counter("mte/tagstore/mixed_fallback");
-  support::Counter &LineDemote =
-      support::Metrics::counter("mte/tagstore/line_demote");
-  support::Counter &LinePromote =
-      support::Metrics::counter("mte/tagstore/line_promote");
-};
-
-TagStoreMetrics &tagStoreMetrics() {
-  static TagStoreMetrics M;
-  return M;
-}
-
-} // namespace
 } // namespace detail
 
 TaggedRegion::TaggedRegion(uint64_t Begin, uint64_t Size)
-    : Begin(Begin), End(Begin + Size),
-      NumGranules(Size >> kGranuleShift),
-      NumLines(((Size >> kGranuleShift) + kLineGranules - 1) >> kLineShift),
-      PackedBytes(((Size >> kGranuleShift) + 1) / 2),
-      Packed(new uint8_t[((Size >> kGranuleShift) + 1) / 2]),
-      Summary(new uint8_t[(((Size >> kGranuleShift) + kLineGranules - 1) >>
-                           kLineShift)]) {
+    : Begin(Begin), End(Begin + Size), NumGranules(Size >> kGranuleShift),
+      PackedBytes((NumGranules + 1) / 2), Packed(new uint8_t[PackedBytes]) {
   M4J_ASSERT(support::isAligned(Begin, kGranuleSize),
              "region base must be granule-aligned");
   M4J_ASSERT(support::isAligned(Size, kGranuleSize) && Size > 0,
              "region size must be a positive granule multiple");
   std::memset(Packed.get(), 0, PackedBytes);
-  std::memset(Summary.get(), 0, NumLines); // every line starts Uniform(0)
 }
 
 void TaggedRegion::storeNibble(uint64_t G, TagValue Tag) {
@@ -186,18 +153,7 @@ void TaggedRegion::storeNibble(uint64_t G, TagValue Tag) {
 }
 
 void TaggedRegion::setTagAt(uint64_t Addr, TagValue Tag) {
-  uint64_t G = granuleIndex(Addr, Begin);
-  storeNibble(G, Tag);
-  // Demote AFTER the nibble write, as an acq_rel RMW: a later promotion
-  // CAS that reads this (or any subsequent RMW in the summary byte's
-  // modification order) synchronizes with it and therefore observes the
-  // nibble just written when it re-validates — no stale promotion can
-  // stick. (Skipping the demote when the summary already equals Tag is
-  // NOT safe: a racing whole-line fill with another tag could publish
-  // Uniform over this granule's different nibble.)
-  std::atomic_ref<uint8_t>(Summary[G >> kLineShift])
-      .exchange(kSummaryMixed, std::memory_order_acq_rel);
-  detail::tagStoreMetrics().LineDemote.add();
+  storeNibble(granuleIndex(Addr, Begin), Tag);
 }
 
 uint64_t TaggedRegion::setTagRange(uint64_t From, uint64_t To, TagValue Tag) {
@@ -207,12 +163,10 @@ uint64_t TaggedRegion::setTagRange(uint64_t From, uint64_t To, TagValue Tag) {
     return 0;
   uint64_t First = granuleIndex(support::alignDown(From, kGranuleSize), Begin);
   uint64_t Last = granuleIndex(support::alignTo(To, kGranuleSize), Begin);
-  const uint64_t Written = Last - First;
 
-  // Level 0 — packed nibbles. Boundary bytes whose sibling nibble lies
-  // outside the range belong half to someone else (adjacent objects), so
-  // they go through the CAS path; interior bytes are wholly ours and take
-  // the bulk memset.
+  // Boundary bytes whose sibling nibble lies outside the range belong half
+  // to someone else (adjacent objects), so they go through the CAS path;
+  // interior bytes are wholly ours and take the bulk memset.
   uint64_t G = First;
   if (G & 1) {
     storeNibble(G, Tag);
@@ -228,128 +182,15 @@ uint64_t TaggedRegion::setTagRange(uint64_t From, uint64_t To, TagValue Tag) {
   }
   if (BodyEnd < Last && BodyEnd >= First)
     storeNibble(BodyEnd, Tag);
-
-  // Level 1 — summaries. Wholly-covered lines publish Uniform(Tag) with a
-  // release store (ordered after the nibble fill above); partially-covered
-  // edge lines demote to Mixed via an acq_rel RMW so later promotions
-  // re-validate against our nibbles (see setTagAt). A full line inside the
-  // range is wholly owned by the caller's buffer, which is what makes the
-  // plain-store publish race-free under the granule-ownership model
-  // (DESIGN.md §13).
-  uint64_t FirstLine = First >> kLineShift;
-  uint64_t LastLine = (Last - 1) >> kLineShift;
-  uint64_t Demoted = 0;
-  for (uint64_t Line = FirstLine; Line <= LastLine; ++Line) {
-    uint64_t LineFirst = Line << kLineShift;
-    bool Full = First <= LineFirst && Last >= LineFirst + lineGranules(Line);
-    if (Full) {
-      std::atomic_ref<uint8_t>(Summary[Line])
-          .store(Tag & 0xF, std::memory_order_release);
-    } else {
-      std::atomic_ref<uint8_t>(Summary[Line])
-          .exchange(kSummaryMixed, std::memory_order_acq_rel);
-      ++Demoted;
-    }
-  }
-  if (Demoted != 0)
-    detail::tagStoreMetrics().LineDemote.add(Demoted);
-  return Written;
-}
-
-void TaggedRegion::promoteLineIfUniform(uint64_t Line, TagValue Tag) const {
-  // Summaries are a cache over the authoritative packed level; promotion
-  // from a (logically const) scan is the "lazy re-promote" half of the
-  // demote-on-write protocol.
-  auto &Cell = const_cast<uint8_t &>(Summary[Line]);
-  uint8_t Cur = kSummaryMixed;
-  if (!std::atomic_ref<uint8_t>(Cell).compare_exchange_strong(
-          Cur, Tag & 0xF, std::memory_order_acq_rel,
-          std::memory_order_relaxed))
-    return; // no longer Mixed: someone else promoted or published
-  // Validate under the acquire above: every demote is an RMW, so this CAS
-  // synchronizes with the whole RMW suffix of the summary byte's history
-  // back to the last full-line publish — any nibble written before a
-  // demote we might be racing is visible to this re-scan. A writer whose
-  // demote lands after our CAS wins the summary byte and leaves it Mixed.
-  uint64_t Bad = detail::scanMismatchPacked(Packed.get(), Line << kLineShift,
-                                            lineGranules(Line), Tag);
-  if (M4J_UNLIKELY(Bad != UINT64_MAX)) {
-    std::atomic_ref<uint8_t>(Cell).exchange(kSummaryMixed,
-                                            std::memory_order_acq_rel);
-    return;
-  }
-  detail::tagStoreMetrics().LinePromote.add();
+  return Last - First;
 }
 
 uint64_t TaggedRegion::findMismatch(uint64_t FirstIdx, uint64_t LastIdx,
                                     TagValue Expected) const {
   M4J_ASSERT(LastIdx < NumGranules, "granule index out of range");
-  detail::TagStoreMetrics &TM = detail::tagStoreMetrics();
-  uint64_t UniformHits = 0;
-  uint64_t MixedScans = 0;
-  uint64_t Result = UINT64_MAX;
-
-  uint64_t G = FirstIdx;
-  while (G <= LastIdx) {
-    uint64_t Line = G >> kLineShift;
-    uint64_t LineFirst = Line << kLineShift;
-    // Contiguous run of lines wholly inside [FirstIdx, LastIdx]: sweep
-    // their summary bytes with the byte kernel — one compare per 64
-    // granules, 512 granules per SWAR word.
-    if (G == LineFirst && LastIdx >= LineFirst + lineGranules(Line) - 1) {
-      // A short tail line (region size not a line multiple) has FullLines
-      // land at 0 here; the per-line path below covers it.
-      uint64_t FullLines = ((LastIdx + 1) >> kLineShift) - Line;
-      if (FullLines > 0) {
-        uint64_t BadLine =
-            detail::scanMismatch(Summary.get() + Line, FullLines, Expected);
-        if (BadLine == UINT64_MAX) {
-          UniformHits += FullLines;
-          G = (Line + FullLines) << kLineShift;
-          continue; // tail partial line (if any) handled per-line below
-        }
-        UniformHits += BadLine;
-        Line += BadLine;
-        G = Line << kLineShift;
-        // Fall through into the per-line path for the offending line.
-      }
-    }
-    // The summary sweep above may have advanced Line past the line G
-    // started in; recompute LineFirst from the (possibly advanced) Line
-    // BEFORE deriving LineLast, or a Mixed line reached by fall-through
-    // gets a LineLast below G and the packed-scan count underflows.
-    LineFirst = Line << kLineShift;
-    uint64_t LineLast = std::min(LastIdx, LineFirst + lineGranules(Line) - 1);
-    uint8_t S = std::atomic_ref<const uint8_t>(Summary[Line])
-                    .load(std::memory_order_relaxed);
-    if (S == Expected) {
-      ++UniformHits;
-      G = LineLast + 1;
-      continue;
-    }
-    if (S != kSummaryMixed) {
-      // Uniform under a different tag: the first granule of the scanned
-      // portion mismatches.
-      Result = G;
-      break;
-    }
-    ++MixedScans;
-    uint64_t Off =
-        detail::scanMismatchPacked(Packed.get(), G, LineLast - G + 1, Expected);
-    if (Off != UINT64_MAX) {
-      Result = G + Off;
-      break;
-    }
-    if (G == LineFirst && LineLast == LineFirst + lineGranules(Line) - 1)
-      promoteLineIfUniform(Line, Expected);
-    G = LineLast + 1;
-  }
-
-  if (UniformHits != 0)
-    TM.UniformHit.add(UniformHits);
-  if (MixedScans != 0)
-    TM.MixedFallback.add(MixedScans);
-  return Result;
+  uint64_t Off = detail::scanMismatchPacked(Packed.get(), FirstIdx,
+                                            LastIdx - FirstIdx + 1, Expected);
+  return Off == UINT64_MAX ? UINT64_MAX : FirstIdx + Off;
 }
 
 uint64_t TaggedRegion::countTagged(uint64_t From, uint64_t To) const {
@@ -359,28 +200,13 @@ uint64_t TaggedRegion::countTagged(uint64_t From, uint64_t To) const {
     return 0;
   uint64_t First = granuleIndex(support::alignDown(From, kGranuleSize), Begin);
   uint64_t Last = granuleIndex(support::alignTo(To, kGranuleSize), Begin);
-  // Diagnostic-only: per-line summary shortcuts (a uniform line is 0 or
-  // all-counted), scalar nibble walk for mixed lines.
   uint64_t Count = 0;
-  uint64_t G = First;
-  while (G < Last) {
-    uint64_t Line = G >> kLineShift;
-    uint64_t LineEnd = std::min(Last, (Line << kLineShift) + lineGranules(Line));
-    uint8_t S = std::atomic_ref<const uint8_t>(Summary[Line])
-                    .load(std::memory_order_relaxed);
-    if (S < kNumTags) {
-      if (S != 0)
-        Count += LineEnd - G;
-      G = LineEnd;
-      continue;
-    }
-    for (; G < LineEnd; ++G) {
-      uint8_t Byte = std::atomic_ref<const uint8_t>(Packed[G >> 1])
-                         .load(std::memory_order_relaxed);
-      TagValue Tag = (G & 1) ? static_cast<TagValue>(Byte >> 4)
-                             : static_cast<TagValue>(Byte & 0xF);
-      Count += Tag != 0;
-    }
+  for (uint64_t G = First; G < Last; ++G) {
+    uint8_t Byte = std::atomic_ref<const uint8_t>(Packed[G >> 1])
+                       .load(std::memory_order_relaxed);
+    TagValue Tag = (G & 1) ? static_cast<TagValue>(Byte >> 4)
+                           : static_cast<TagValue>(Byte & 0xF);
+    Count += Tag != 0;
   }
   return Count;
 }

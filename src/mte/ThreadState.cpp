@@ -90,9 +90,4 @@ void ThreadState::cacheRegion(std::shared_ptr<const TaggedRegion> Region,
   CachedRegionEpoch = CachedRegion ? Epoch : 0;
 }
 
-void ThreadState::syncModeFromProcess() {
-  Mode = MteSystem::instance().processCheckMode();
-  refreshChecksOn();
-}
-
 } // namespace mte4jni::mte

@@ -206,14 +206,7 @@ const char *flightEventName(FlightKind Kind, uint8_t Arg) {
     return Acq ? "TagTable.acquire.slow" : "TagTable.release.slow";
   }
   case FlightKind::CheckScan:
-    switch (Arg) {
-    case 0:
-      return "Access.checkRange:packed";
-    case 1:
-      return "Access.checkRange:summary";
-    default:
-      return "Access.checkRange:?";
-    }
+    return "Access.checkRange";
   case FlightKind::GcPhase:
     switch (static_cast<GcFlightPhase>(Arg)) {
     case GcFlightPhase::Collect:

@@ -7,10 +7,14 @@
 
 #include "mte4jni/mte/MteSystem.h"
 #include "mte4jni/mte/TagStorage.h"
+#include "mte4jni/mte/Tombstone.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -51,24 +55,16 @@ TEST_F(MteStorageTest, SetTagRangeClampsToRegion) {
   EXPECT_EQ(Region.tagAt(Region.begin()), 0);
 }
 
-TEST_F(MteStorageTest, TwoLevelGeometry) {
-  // 16 granules: one (short) line, 8 packed bytes — half the seed's
-  // byte-per-granule footprint.
-  alignas(16) static uint8_t Buf[256];
-  TaggedRegion Region(reinterpret_cast<uint64_t>(Buf), 256);
-  EXPECT_EQ(Region.shadowBytes(), 8u);
-  EXPECT_EQ(Region.summaryBytes(), 1u);
-  EXPECT_EQ(Region.lineCount(), 1u);
-
-  // Whole-region fill publishes a Uniform summary even for a short line;
-  // a narrower write demotes it.
-  Region.setTagRange(Region.begin(), Region.end(), 0xB);
-  EXPECT_EQ(Region.lineSummaries()[0], 0xB);
-  Region.setTagAt(Region.begin(), 0xB);
-  EXPECT_EQ(Region.lineSummaries()[0], kSummaryMixed);
-  EXPECT_EQ(Region.findMismatch(0, 15, 0xB), UINT64_MAX);
-  // The full-line scan proved the line uniform and lazily re-promoted it.
-  EXPECT_EQ(Region.lineSummaries()[0], 0xB);
+TEST_F(MteStorageTest, PackedShadowGeometry) {
+  // Two granule tags per shadow byte, half the seed's byte-per-granule
+  // footprint; an odd granule count rounds up to a whole byte.
+  alignas(16) static uint8_t Buf[272];
+  for (uint64_t Granules : {uint64_t(1), uint64_t(16), uint64_t(17)}) {
+    TaggedRegion Region(reinterpret_cast<uint64_t>(Buf),
+                        Granules * kGranuleSize);
+    EXPECT_EQ(Region.granuleCount(), Granules);
+    EXPECT_EQ(Region.shadowBytes(), (Granules + 1) / 2) << Granules;
+  }
 }
 
 TEST_F(MteStorageTest, FindMismatch) {
@@ -129,16 +125,32 @@ TEST_F(MteStorageTest, ResetClearsEverything) {
 }
 
 TEST_F(MteStorageTest, FaultLogBounded) {
+  // Past the storage bound the log drops its oldest records, so the
+  // snapshot (oldest first) ends at the latest fault and a tombstone of
+  // "the most recent fault" renders that one; the counters count all.
   MteSystem &Sys = MteSystem::instance();
-  for (size_t I = 0; I < FaultLog::kMaxStored + 100; ++I) {
+  const size_t Total = FaultLog::kMaxStored + 100;
+  for (size_t I = 0; I < Total; ++I) {
     FaultRecord R;
     R.Kind = FaultKind::TagMismatchSync;
+    R.HasAddress = true;
+    R.Address = 0x10000 + I * kGranuleSize;
     Sys.faultLog().append(std::move(R));
   }
-  EXPECT_EQ(Sys.faultLog().snapshot().size(), FaultLog::kMaxStored);
-  EXPECT_EQ(Sys.faultLog().totalCount(), FaultLog::kMaxStored + 100);
-  EXPECT_EQ(Sys.faultLog().countOf(FaultKind::TagMismatchSync),
-            FaultLog::kMaxStored + 100);
+  std::vector<FaultRecord> Records = Sys.faultLog().snapshot();
+  ASSERT_EQ(Records.size(), FaultLog::kMaxStored);
+  for (size_t I = 0; I < Records.size(); ++I)
+    ASSERT_EQ(Records[I].Address, 0x10000 + (I + 100) * kGranuleSize) << I;
+  EXPECT_EQ(Sys.faultLog().totalCount(), Total);
+  EXPECT_EQ(Sys.faultLog().countOf(FaultKind::TagMismatchSync), Total);
+
+  std::string Out;
+  ASSERT_TRUE(renderLatestTombstone(Out));
+  char Latest[48];
+  std::snprintf(Latest, sizeof(Latest), "fault addr 0x%016llx",
+                static_cast<unsigned long long>(0x10000 +
+                                                (Total - 1) * kGranuleSize));
+  EXPECT_NE(Out.find(Latest), std::string::npos) << Out;
 }
 
 TEST_F(MteStorageTest, FaultRecordRendering) {

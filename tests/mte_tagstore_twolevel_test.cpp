@@ -1,25 +1,24 @@
-//===- mte_tagstore_twolevel_test.cpp - Two-level tag store properties ----------===//
+//===- mte_tagstore_twolevel_test.cpp - Packed tag store properties -------------===//
 //
 // Part of the MTE4JNI reproduction project.
 // SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 //
-// Coverage the two-level store's correctness rests on:
+// Coverage the packed tag store's correctness rests on. The target and
+// suite keep the name of the former two-level store (packed shadow under
+// per-line summaries), so the sanitizer jobs' test lists stay put.
 //
 //   * a randomized equivalence test driving setTagAt / setTagRange /
 //     findMismatch / countTagged against a plain byte-per-granule
-//     reference model — the seed's storage layout — over a region whose
-//     granule count is deliberately NOT a line multiple, with range
-//     endpoints biased toward line boundaries and a demote-then-restore
-//     op so the summary-sweep fall-through path is actually sampled;
-//   * a targeted regression test for the sweep fall-through computing
-//     LineLast from a stale LineFirst (out-of-bounds packed scan);
+//     reference model — the seed's storage layout — over a region with
+//     an odd granule count (its last packed byte is half used), with
+//     range endpoints biased toward packed-byte and SWAR-word boundaries;
+//   * long findMismatch scans that cross a rewritten-and-restored granule
+//     and stop at a real offender;
 //   * packed-nibble kernel equivalence (SWAR vs the scalar reference)
 //     across sizes around the 8-byte word boundaries, both start
 //     parities, and planted mismatches at edge/body nibbles;
-//   * summary maintenance: whole-line fills publish Uniform, narrower
-//     writes demote, scans lazily re-promote;
 //   * ThreadSanitizer-facing tests: concurrent writers hammering
 //     ADJACENT granules sharing one packed shadow byte (the nibble-CAS
 //     path) while readers load tags, and a checked-range scan racing a
@@ -29,12 +28,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "mte4jni/mte/TagStorage.h"
-#include "mte4jni/support/Metrics.h"
 #include "mte4jni/support/Rng.h"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -43,10 +41,12 @@ namespace {
 using namespace mte4jni::mte;
 namespace support = mte4jni::support;
 
-// 300 granules = 4 full lines + a 44-granule tail line, odd packed-byte
-// count — exercises every geometry edge at once.
-constexpr uint64_t kGranules = 300;
+// 301 granules = 18 SWAR words (16 granules each) + a 13-granule tail;
+// the odd count leaves the last packed byte's high nibble unused.
+constexpr uint64_t kGranules = 301;
 constexpr uint64_t kBytes = kGranules * kGranuleSize;
+// Region size for the concurrency tests: 64 granules, 32 packed bytes.
+constexpr uint64_t kSmallBytes = 64 * kGranuleSize;
 
 struct RegionFixture {
   alignas(16) uint8_t Buf[kBytes];
@@ -77,39 +77,37 @@ TEST(TagStoreTwoLevel, RandomizedEquivalenceVsReferenceModel) {
 
   support::Xoshiro256 R(0x2d14e8a1u);
   const uint64_t Base = Region.begin();
-  // Range endpoints are biased toward line boundaries: the summary sweep
-  // in findMismatch only engages on line-aligned starts, and its
-  // fall-through into a Mixed line (the path that once read out of
-  // bounds, REVIEW item 1) needs a line-aligned range spanning several
-  // uniform lines before the Mixed one. Pure-uniform draws under-sample
-  // that shape.
+  // Range endpoints are biased toward the packed kernel's edges: an odd
+  // granule (a high nibble, peeled from its shared byte), and the first
+  // and last granule of a SWAR word, so scan lengths land on, just under
+  // and just over whole words as well as on the byte tail.
   auto drawGranule = [&]() -> uint64_t {
     uint64_t G = R.nextBelow(kGranules);
     switch (R.nextBelow(4)) {
     case 0:
-      return G & ~(kLineGranules - 1); // line-aligned start
+      return G & ~uint64_t(15); // first granule of a word
     case 1:
-      return std::min(kGranules - 1,
-                      (G | (kLineGranules - 1))); // line-end / tail edge
+      return std::min(kGranules - 1, G | 15); // last granule of a word
+    case 2:
+      return std::min(kGranules - 1, G | 1); // odd: a high nibble
     default:
       return G;
     }
   };
   for (int Iter = 0; Iter < 20000; ++Iter) {
-    switch (R.nextBelow(5)) {
-    case 0: { // single-granule write (demotes its line)
+    switch (R.nextBelow(4)) {
+    case 0: { // single-granule write
       uint64_t G = R.nextBelow(kGranules);
       TagValue T = static_cast<TagValue>(R.nextBelow(kNumTags));
       Region.setTagAt(Base + G * kGranuleSize + R.nextBelow(kGranuleSize), T);
       Ref[G] = T;
       break;
     }
-    case 1: { // range write (publishes uniform lines / demotes edges)
+    case 1: { // range write (CAS edge nibbles, memset body)
       uint64_t A = drawGranule();
       // A quarter of range writes run to the end of the region — the
-      // TLAB-scrub / reclaim shape that leaves a uniform suffix, which
-      // is what lets a later check's summary sweep fall through into a
-      // demoted-but-matching line with nothing mismatching behind it.
+      // TLAB-scrub / reclaim shape that leaves a long uniform suffix, so
+      // later checks scan many words before they stop.
       uint64_t B = R.nextBelow(4) == 0 ? kGranules - 1 : drawGranule();
       if (A > B)
         std::swap(A, B);
@@ -121,15 +119,14 @@ TEST(TagStoreTwoLevel, RandomizedEquivalenceVsReferenceModel) {
         Ref[G] = T;
       break;
     }
-    case 2: { // bulk check (summary walk + packed fallback + promotion)
+    case 2: { // bulk check
       uint64_t A = drawGranule();
       uint64_t B = drawGranule();
       if (A > B)
         std::swap(A, B);
       // Half the checks expect the tag actually present at the range
-      // start: a fully random tag almost never survives past the first
-      // line, so it would leave the deep-walk paths (multi-line summary
-      // sweeps, fall-through into a contents-matching Mixed line)
+      // start: a fully random tag almost always mismatches at once, which
+      // would leave the deep scans (whole words, then the tail)
       // unexercised.
       TagValue T = R.nextBelow(2) == 0
                        ? static_cast<TagValue>(Ref[A])
@@ -137,16 +134,6 @@ TEST(TagStoreTwoLevel, RandomizedEquivalenceVsReferenceModel) {
       ASSERT_EQ(Region.findMismatch(A, B, T), refFindMismatch(A, B, T))
           << "iter " << Iter << " range [" << A << "," << B << "] tag "
           << unsigned(T);
-      break;
-    }
-    case 3: { // demote-then-restore: leaves the line Mixed with contents
-              // still uniform — the exact summary/content split the sweep
-              // fall-through has to cross correctly
-      uint64_t G = R.nextBelow(kGranules);
-      TagValue Old = Ref[G];
-      Region.setTagAt(Base + G * kGranuleSize,
-                      static_cast<TagValue>((Old + 1) & 0xF));
-      Region.setTagAt(Base + G * kGranuleSize, Old);
       break;
     }
     default: { // diagnostic count
@@ -223,122 +210,29 @@ TEST(TagStoreTwoLevel, PackedKernelPlantedMismatches) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Summary maintenance: publish / demote / lazy promote
-//===----------------------------------------------------------------------===//
-
-TEST(TagStoreTwoLevel, SummaryPublishDemotePromote) {
-  static RegionFixture F;
-  TaggedRegion Region(reinterpret_cast<uint64_t>(F.Buf), kBytes);
-  EXPECT_EQ(Region.lineCount(), 5u);            // 4 full + 44-granule tail
-  EXPECT_EQ(Region.shadowBytes(), kGranules / 2);
-  EXPECT_EQ(Region.summaryBytes(), 5u);
-
-  // Fresh region: every line Uniform(0).
-  for (uint64_t L = 0; L < Region.lineCount(); ++L)
-    EXPECT_EQ(Region.lineSummaries()[L], 0);
-
-  // Whole-region fill publishes Uniform(9) everywhere, tail included.
-  Region.setTagRange(Region.begin(), Region.end(), 9);
-  for (uint64_t L = 0; L < Region.lineCount(); ++L)
-    EXPECT_EQ(Region.lineSummaries()[L], 9);
-
-  // A single-granule write demotes exactly its line.
-  uint64_t Demotes = support::Metrics::counter("mte/tagstore/line_demote")
-                         .value();
-  Region.setTagAt(Region.begin() + 70 * kGranuleSize, 9); // line 1, same tag
-  EXPECT_EQ(Region.lineSummaries()[1], kSummaryMixed);
-  EXPECT_EQ(Region.lineSummaries()[0], 9);
-  EXPECT_EQ(Region.lineSummaries()[2], 9);
-  EXPECT_GT(support::Metrics::counter("mte/tagstore/line_demote").value(),
-            Demotes);
-
-  // A full scan finds the line still uniformly 9 and re-promotes it.
-  uint64_t Promotes = support::Metrics::counter("mte/tagstore/line_promote")
-                          .value();
-  EXPECT_EQ(Region.findMismatch(0, kGranules - 1, 9), UINT64_MAX);
-  EXPECT_EQ(Region.lineSummaries()[1], 9);
-  EXPECT_GT(support::Metrics::counter("mte/tagstore/line_promote").value(),
-            Promotes);
-
-  // A genuinely mixed line stays Mixed across scans (no false promote)...
-  Region.setTagAt(Region.begin() + 130 * kGranuleSize, 4); // line 2
-  EXPECT_EQ(Region.findMismatch(0, kGranules - 1, 9), 130u);
-  EXPECT_EQ(Region.lineSummaries()[2], kSummaryMixed);
-  // ...and scanning around the foreign granule succeeds via packed scans.
-  EXPECT_EQ(Region.findMismatch(128, 129, 9), UINT64_MAX);
-  EXPECT_EQ(Region.findMismatch(131, 191, 9), UINT64_MAX);
-  EXPECT_EQ(Region.findMismatch(130, 130, 4), UINT64_MAX);
-
-  // Partial-line range writes demote their edge lines.
-  Region.setTagRange(Region.begin() + 200 * kGranuleSize,
-                     Region.begin() + 220 * kGranuleSize, 2); // inside line 3
-  EXPECT_EQ(Region.lineSummaries()[3], kSummaryMixed);
-}
-
-// Regression (REVIEW item 1): when the summary sweep stops on a Mixed
-// line and falls through to the per-line path, LineLast must be derived
-// from the ADVANCED line's first granule. With the stale pre-sweep
-// LineFirst, LineLast landed below G and the packed-scan count
-// `LineLast - G + 1` underflowed to ~2^64 — an out-of-bounds read past
-// the packed shadow (caught by ASan) that could surface as a false tag
-// fault. The trigger shape: a line-aligned check spanning >= 2 leading
-// Uniform(Expected) lines, then a line demoted to Mixed whose contents
-// all still match Expected (so the in-bounds scan finds nothing and
-// keeps reading).
-TEST(TagStoreTwoLevel, FindMismatchSweepFallThroughMatchingMixedLine) {
+// Long scans across the region: a granule retagged and then restored
+// reads as matching, a scan stopping mid-word finds nothing past its end,
+// and a real offender past the restored granule is reported at its own
+// index — also when the scan runs over the region's short last word.
+TEST(TagStoreTwoLevel, FindMismatchLongScans) {
   static RegionFixture F;
   TaggedRegion Region(reinterpret_cast<uint64_t>(F.Buf), kBytes);
   const uint64_t Base = Region.begin();
 
-  // Uniform-fill the whole region (4 full lines + the 44-granule tail)
-  // with tag 5.
   Region.setTagRange(Base, Region.end(), 5);
-  // Demote line 2, then restore its contents: summary Mixed, nibbles all 5.
   Region.setTagAt(Base + 130 * kGranuleSize, 7);
   Region.setTagAt(Base + 130 * kGranuleSize, 5);
-  ASSERT_EQ(Region.lineSummaries()[2], kSummaryMixed);
 
-  // Line-aligned check across lines 0..2: the sweep passes lines 0 and 1,
-  // stops on Mixed line 2, and the fall-through scan must cover exactly
-  // granules [128, 191].
   EXPECT_EQ(Region.findMismatch(0, 191, 5), UINT64_MAX);
-
-  // Same shape with the check ending mid-way through the Mixed line.
   EXPECT_EQ(Region.findMismatch(0, 150, 5), UINT64_MAX);
 
-  // And with a genuine mismatch after the matching Mixed line: the scan
-  // must resume past line 2 and report the real offender, not a bogus
-  // index from over-scanning.
-  Region.setTagAt(Base + 200 * kGranuleSize, 9); // line 3
+  Region.setTagAt(Base + 200 * kGranuleSize, 9);
   EXPECT_EQ(Region.findMismatch(0, 255, 5), 200u);
+  EXPECT_EQ(Region.findMismatch(0, kGranules - 1, 5), 200u);
+  EXPECT_EQ(Region.findMismatch(201, kGranules - 1, 5), UINT64_MAX);
 
-  // Line 2 was lazily re-promoted by the full-line scans above; demote it
-  // again and re-check over the whole region so the walk resumes past the
-  // fall-through line and still crosses the short 44-granule tail line.
-  Region.setTagAt(Base + 130 * kGranuleSize, 7);
-  Region.setTagAt(Base + 130 * kGranuleSize, 5);
-  Region.setTagAt(Base + 200 * kGranuleSize, 5); // heal line 3
+  Region.setTagAt(Base + 200 * kGranuleSize, 5);
   EXPECT_EQ(Region.findMismatch(0, kGranules - 1, 5), UINT64_MAX);
-}
-
-TEST(TagStoreTwoLevel, UniformAndMixedCountersMove) {
-  static RegionFixture F;
-  TaggedRegion Region(reinterpret_cast<uint64_t>(F.Buf), kBytes);
-  Region.setTagRange(Region.begin(), Region.end(), 5);
-
-  uint64_t Uniform =
-      support::Metrics::counter("mte/tagstore/uniform_hit").value();
-  EXPECT_EQ(Region.findMismatch(0, kGranules - 1, 5), UINT64_MAX);
-  EXPECT_GE(support::Metrics::counter("mte/tagstore/uniform_hit").value(),
-            Uniform + 5); // all 5 lines passed on summaries alone
-
-  Region.setTagAt(Region.begin(), 5); // demote line 0 (tag unchanged)
-  uint64_t Mixed =
-      support::Metrics::counter("mte/tagstore/mixed_fallback").value();
-  EXPECT_EQ(Region.findMismatch(0, 63, 5), UINT64_MAX);
-  EXPECT_GE(support::Metrics::counter("mte/tagstore/mixed_fallback").value(),
-            Mixed + 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -346,8 +240,8 @@ TEST(TagStoreTwoLevel, UniformAndMixedCountersMove) {
 //===----------------------------------------------------------------------===//
 
 TEST(TagStoreTwoLevel, AdjacentGranuleWritersShareAByte) {
-  alignas(16) static uint8_t Buf[kLineBytes];
-  TaggedRegion Region(reinterpret_cast<uint64_t>(Buf), kLineBytes);
+  alignas(16) static uint8_t Buf[kSmallBytes];
+  TaggedRegion Region(reinterpret_cast<uint64_t>(Buf), kSmallBytes);
   const uint64_t Base = Region.begin();
   constexpr int kIters = 20000;
 
@@ -390,17 +284,17 @@ TEST(TagStoreTwoLevel, AdjacentGranuleWritersShareAByte) {
 }
 
 TEST(TagStoreTwoLevel, CheckedRangeVsWriterSharingAnEdgeByte) {
-  // Race-model boundary (REVIEW item 2, DESIGN.md §13): a checked range
-  // may legally race with setTagAt on a granule OUTSIDE the range but in
-  // the same line — even one sharing the range's trailing packed byte.
+  // Race-model boundary (DESIGN.md §13): a checked range may legally race
+  // with setTagAt on a granule OUTSIDE the range — even one sharing the
+  // range's trailing packed byte.
   // Only the EDGE nibbles of a scan touch shared bytes, and those loads
   // are atomic; the plain-load body bytes lie wholly inside the checked
   // range, which granule ownership guarantees nobody retags mid-check.
   // Here the checker scans granules [0,30] (byte 15's low nibble is the
   // atomic trailing edge) while a writer CASes granule 31 (byte 15's high
   // nibble): TSan must stay quiet and the check must never fault.
-  alignas(16) static uint8_t Buf[kLineBytes];
-  TaggedRegion Region(reinterpret_cast<uint64_t>(Buf), kLineBytes);
+  alignas(16) static uint8_t Buf[kSmallBytes];
+  TaggedRegion Region(reinterpret_cast<uint64_t>(Buf), kSmallBytes);
   const uint64_t Base = Region.begin();
   constexpr int kIters = 20000;
 
@@ -428,8 +322,8 @@ TEST(TagStoreTwoLevel, ConcurrentRangeWritersOwnDisjointRanges) {
   // Two writers repeatedly retag ADJACENT ranges that split a packed byte
   // (ranges [0,5) and [5,10) share byte 2): the boundary nibbles go
   // through the CAS path, so neither owner's edge tag is lost.
-  alignas(16) static uint8_t Buf[kLineBytes];
-  TaggedRegion Region(reinterpret_cast<uint64_t>(Buf), kLineBytes);
+  alignas(16) static uint8_t Buf[kSmallBytes];
+  TaggedRegion Region(reinterpret_cast<uint64_t>(Buf), kSmallBytes);
   const uint64_t Base = Region.begin();
   constexpr int kIters = 5000;
 

@@ -437,6 +437,10 @@ std::atomic<uint64_t> DerivedSource{0};
 std::atomic<uint64_t> DerivedBaseline{0};
 
 TEST_F(MetricsTest, ResetAllCallsDerivedResetCallbacks) {
+  // The sources are globals: start each run (including --gtest_repeat
+  // iterations) from the same state.
+  DerivedSource.store(0);
+  DerivedBaseline.store(0);
   Metrics::registerDerived(
       "test/derived/rebased",
       +[] { return DerivedSource.load() - DerivedBaseline.load(); },
