@@ -22,7 +22,9 @@
 #include "mte4jni/mte/Access.h"
 #include "mte4jni/rt/Trampoline.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 using namespace mte4jni;
 using namespace mte4jni::bench;
@@ -111,18 +113,28 @@ int main(int Argc, char **Argv) {
                      {11, 12, 11, 11, 11});
   Table.printHeader();
 
+  const api::Scheme Schemes[] = {api::Scheme::NoProtection,
+                                 api::Scheme::GuardedCopy,
+                                 api::Scheme::Mte4JniSync,
+                                 api::Scheme::Mte4JniAsync};
+  constexpr unsigned kNumSchemes = std::size(Schemes);
   double SumGuarded = 0, SumSync = 0, SumAsync = 0;
   unsigned Rows = 0;
   for (unsigned Pow = 1; Pow <= MaxPow; ++Pow) {
     unsigned Length = 1u << Pow;
-    double None =
-        timeScheme(api::Scheme::NoProtection, Length, MinNanos, Options.Seed, PerElement);
-    double Guarded =
-        timeScheme(api::Scheme::GuardedCopy, Length, MinNanos, Options.Seed, PerElement);
-    double Sync =
-        timeScheme(api::Scheme::Mte4JniSync, Length, MinNanos, Options.Seed, PerElement);
-    double Async =
-        timeScheme(api::Scheme::Mte4JniAsync, Length, MinNanos, Options.Seed, PerElement);
+    // Each cell is the median of three timings, taken in turn across the
+    // schemes, so one slow timing cannot flip a mean or a shape check.
+    double Times[kNumSchemes][3];
+    for (unsigned Rep = 0; Rep < 3; ++Rep)
+      for (unsigned K = 0; K < kNumSchemes; ++K)
+        Times[K][Rep] = timeScheme(Schemes[K], Length, MinNanos, Options.Seed,
+                                   PerElement);
+    double Cell[kNumSchemes];
+    for (unsigned K = 0; K < kNumSchemes; ++K) {
+      std::sort(Times[K], Times[K] + 3);
+      Cell[K] = Times[K][1];
+    }
+    auto [None, Guarded, Sync, Async] = Cell;
 
     double RG = Guarded / None, RS = Sync / None, RA = Async / None;
     SumGuarded += RG;

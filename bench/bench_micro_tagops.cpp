@@ -9,8 +9,9 @@
 // figures — the A1/A2 ablations of DESIGN.md:
 //
 //   * simulated MTE instructions (IRG, STG range, LDG)
-//   * checked vs unchecked load (the per-access cost MTE+Sync pays), and
-//     a read inside a pinned string view (one scan per pin)
+//   * checked vs unchecked load and a checked store (the per-access cost
+//     MTE+Sync pays), and a read inside a pinned string view (one scan per
+//     pin)
 //   * Algorithm 1+2 acquire/release round trips: two-tier vs global lock,
 //     single- and multi-threaded, same vs distinct objects
 //   * guarded-copy acquire/release vs MTE4JNI acquire/release per size
@@ -106,6 +107,26 @@ void BM_LoadCheckedSync(benchmark::State &State) {
   mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::None);
 }
 BENCHMARK(BM_LoadCheckedSync);
+
+/// The store tier: the same region-cache hit as BM_LoadCheckedSync, counted
+/// in the thread's store cell.
+void BM_StoreCheckedSync(benchmark::State &State) {
+  mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::Sync);
+  mte::ThreadState::current().setTco(false);
+  auto *Buf = static_cast<int32_t *>(arena().allocate(4096));
+  auto P = mte::TaggedPtr<int32_t>::fromRaw(Buf, 9);
+  mte::setTagRange(P.cast<void>(), 4096);
+  int I = 0;
+  for (auto _ : State) {
+    mte::store<int32_t>(P + (I & 1023), I);
+    benchmark::ClobberMemory();
+    ++I;
+  }
+  mte::clearTagRange(reinterpret_cast<uint64_t>(Buf), 4096);
+  arena().deallocate(Buf);
+  mte::MteSystem::instance().setProcessCheckMode(mte::CheckMode::None);
+}
+BENCHMARK(BM_StoreCheckedSync);
 
 /// A read inside a held jni::PinnedStringChars under MTE4JNI-sync with
 /// checks on: the view's one scan at construction stands in for the

@@ -245,13 +245,18 @@ public:
   /// True when in-range reads skip their check.
   bool scanMatched() const { return UncheckedLength != 0; }
 
+  /// Only the in-range read is inline: inlining the checked fallback too
+  /// made a caller's per-char lambda too big for GCC to inline.
   M4J_ALWAYS_INLINE jchar at(jsize I) const {
     if (M4J_LIKELY(static_cast<uint32_t>(I) < UncheckedLength))
       return Chars.raw()[I];
-    return mte::load<const jchar>(Chars + I);
+    return checkedAt(I);
   }
 
 private:
+  /// mte::load of char \p I: every read the scan does not cover.
+  M4J_NOINLINE jchar checkedAt(jsize I) const;
+
   JniEnv &Env;
   jstring Str;
   mte::TaggedPtr<const jchar> Chars;

@@ -41,33 +41,31 @@ void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
 /// cached last-hit region, the cache is from the current publish epoch,
 /// and every touched granule's tag matches. Returns false (deferring to
 /// checkAccessSlow) on cache miss, straddle out of the cached region, or
-/// tag mismatch. The epoch load is the only shared-state read — no
+/// tag mismatch. It reads the cached region's begin, size and shadow from
+/// \p TS; the epoch load is the only shared-state read — no
 /// MteSystem::instance() magic-static guard, no region-list walk, no
-/// registry counter.
+/// registry counter — and a hit bumps one ThreadState cell.
 M4J_ALWAYS_INLINE bool checkAccessFast(ThreadState &TS, uint64_t Bits,
                                        uint32_t Size, bool IsWrite) {
-  const TaggedRegion *Region = TS.cachedRegion();
-  if (Region == nullptr)
-    return false;
+  // An empty cache has epoch 0, which the publish epoch never equals.
   if (M4J_UNLIKELY(TS.cachedRegionEpoch() !=
                    RegionPublishEpoch.load(std::memory_order_acquire)))
     return false;
-  uint64_t Address = addressOf(Bits);
-  uint64_t LastByte = Address + Size - 1;
-  if (M4J_UNLIKELY(!Region->contains(Address) ||
-                   !Region->contains(LastByte)))
+  uint64_t Off = addressOf(Bits) - TS.cachedRegionBegin();
+  if (M4J_UNLIKELY(!TS.cachedRegionCovers(Off, Size)))
     return false;
+  // The region is granule-aligned, so granule indices come from Off.
   TagValue PointerTag = pointerTagOf(Bits);
-  uint64_t First = support::alignDown(Address, kGranuleSize);
-  uint64_t Last = support::alignDown(LastByte, kGranuleSize);
-  for (uint64_t Granule = First;; Granule += kGranuleSize) {
-    if (M4J_UNLIKELY(Region->tagAt(Granule) != PointerTag))
+  const uint8_t *Shadow = TS.cachedRegionShadow();
+  uint64_t First = Off >> kGranuleShift;
+  uint64_t Last = (Off + Size - 1) >> kGranuleShift;
+  for (uint64_t G = First;; ++G) {
+    if (M4J_UNLIKELY(packedTagAt(Shadow, G) != PointerTag))
       return false; // slow path re-checks and reports
-    if (Granule >= Last)
+    if (G == Last)
       break;
   }
-  TS.countAccess(IsWrite, ((Last - First) >> kGranuleShift) + 1);
-  TS.countRegionCacheHit();
+  TS.countHit(IsWrite, Last - First);
   return true;
 }
 

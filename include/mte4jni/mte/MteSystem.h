@@ -134,9 +134,9 @@ public:
   /// Also folds the thread's access counts into the exited-thread totals.
   void unregisterThread(ThreadState *State);
 
-  /// \p Which summed over live and exited threads, since the last
-  /// Metrics::resetAll(): the value of the mte/access/* derived counter of
-  /// that name.
+  /// Cell \p Which summed over live and exited threads, since the last
+  /// Metrics::resetAll(). Each mte/access/* derived counter is a sum of
+  /// these (AccessCount).
   uint64_t accessCount(AccessCount Which);
   /// Metrics::resetAll() hook: makes accessCount(Which) read 0 from now
   /// on by recording the current sum as the baseline it subtracts. The

@@ -70,6 +70,16 @@ uint64_t scanMismatchPackedScalar(const uint8_t *Packed, uint64_t FirstGranule,
 uint64_t scanMismatchPacked(const uint8_t *Packed, uint64_t FirstGranule,
                             uint64_t Count, TagValue Expected);
 
+/// Tag of granule \p G of a packed shadow: one relaxed atomic byte load
+/// (the byte is shared with the sibling granule, whose owner may CAS it)
+/// plus a nibble select.
+M4J_ALWAYS_INLINE TagValue packedTagAt(const uint8_t *Packed, uint64_t G) {
+  uint8_t Byte = std::atomic_ref<const uint8_t>(Packed[G >> 1])
+                     .load(std::memory_order_relaxed);
+  return (G & 1) ? static_cast<TagValue>(Byte >> 4)
+                 : static_cast<TagValue>(Byte & 0xF);
+}
+
 } // namespace detail
 
 /// Packed shadow tags for one contiguous registered (PROT_MTE) region.
@@ -86,11 +96,7 @@ public:
   /// Tag of the granule containing \p Addr: one packed-byte load plus a
   /// nibble select.
   M4J_ALWAYS_INLINE TagValue tagAt(uint64_t Addr) const {
-    uint64_t G = granuleIndex(Addr, Begin);
-    uint8_t Byte = std::atomic_ref<const uint8_t>(Packed[G >> 1])
-                       .load(std::memory_order_relaxed);
-    return (G & 1) ? static_cast<TagValue>(Byte >> 4)
-                   : static_cast<TagValue>(Byte & 0xF);
+    return detail::packedTagAt(Packed.get(), granuleIndex(Addr, Begin));
   }
 
   /// Sets the tag of the granule containing \p Addr: a CAS loop on the
@@ -123,6 +129,10 @@ public:
 
   /// Footprint: packed granule shadow bytes (2 tags per byte).
   uint64_t shadowBytes() const { return PackedBytes; }
+
+  /// The packed shadow; granule G's tag is detail::packedTagAt(shadow(), G).
+  /// Lives as long as the region.
+  const uint8_t *shadow() const { return Packed.get(); }
 
 private:
   /// Writes the single granule \p G's nibble via CAS on its shared byte.

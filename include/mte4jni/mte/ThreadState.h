@@ -48,12 +48,17 @@ extern thread_local constinit ThreadState *CurrentThreadState;
 } // namespace detail
 
 /// Per-thread checked-access counts; each is a cell of ThreadState that
-/// only its own thread writes.
+/// only its own thread writes. A region-cache hit bumps one cell, so the
+/// mte/access/* names are sums of these (MteSystem): checked_loads is
+/// LoadHits + SlowLoads, checked_stores StoreHits + SlowStores,
+/// region_cache_hit LoadHits + StoreHits, and checked_granules all five,
+/// since every counted access covers at least one granule.
 enum class AccessCount : unsigned {
-  CheckedLoads,
-  CheckedStores,
-  CheckedGranules,
-  RegionCacheHits,
+  LoadHits,      ///< checked loads the region cache served
+  StoreHits,     ///< checked stores the region cache served
+  SlowLoads,     ///< checked loads the slow paths served
+  SlowStores,    ///< checked stores the slow paths served
+  ExtraGranules, ///< granules past the first of each counted access
   kNumCounts
 };
 inline constexpr unsigned kNumAccessCounts = unsigned(AccessCount::kNumCounts);
@@ -101,18 +106,26 @@ public:
   void drainAsync(const char *SyscallName);
 
   // -- checked-access counts ----------------------------------------------
-  /// Counts one checked access that covered \p Granules in-region granules.
-  M4J_ALWAYS_INLINE void countAccess(bool IsWrite, uint64_t Granules) {
-    bump(IsWrite ? AccessCount::CheckedStores : AccessCount::CheckedLoads, 1);
-    bump(AccessCount::CheckedGranules, Granules);
+  /// Counts one check the region cache served that covered
+  /// 1 + \p ExtraGranules in-region granules: one cell, plus a second for
+  /// an access that straddles granules.
+  M4J_ALWAYS_INLINE void countHit(bool IsWrite, uint64_t ExtraGranules) {
+    bump(IsWrite ? AccessCount::StoreHits : AccessCount::LoadHits, 1);
+    if (M4J_UNLIKELY(ExtraGranules != 0))
+      bump(AccessCount::ExtraGranules, ExtraGranules);
   }
-  /// Counts one check served from the region cache.
-  M4J_ALWAYS_INLINE void countRegionCacheHit() {
-    bump(AccessCount::RegionCacheHits, 1);
+  /// Counts one slow-path check that covered \p Granules (at least one)
+  /// in-region granules.
+  void countSlow(bool IsWrite, uint64_t Granules) {
+    bump(IsWrite ? AccessCount::SlowStores : AccessCount::SlowLoads, 1);
+    bump(AccessCount::ExtraGranules, Granules - 1);
   }
   /// Granules this thread has tag-checked.
   uint64_t checksPerformed() const {
-    return accessCount(AccessCount::CheckedGranules);
+    uint64_t Sum = 0;
+    for (unsigned I = 0; I < kNumAccessCounts; ++I)
+      Sum += accessCount(AccessCount(I));
+    return Sum;
   }
 
   /// Per-thread RNG used by the IRG instruction.
@@ -121,14 +134,26 @@ public:
   uint64_t threadId() const { return Id; }
 
   // -- region cache (same-thread only; the checked-access fast path) ------
-  /// Last region this thread's checked accesses hit, or nullptr. Valid only
-  /// while cachedRegionEpoch() still equals detail::RegionPublishEpoch —
-  /// any registerRegion/unregisterRegion invalidates every thread's cache
-  /// by bumping the epoch. The backing shared_ptr keeps the TaggedRegion
-  /// alive across unregistration, so a stale raw pointer can never dangle;
-  /// the epoch check merely keeps it from validating accesses.
-  const TaggedRegion *cachedRegion() const { return CachedRegion; }
+  /// The last region this thread's checked accesses hit: its begin, size
+  /// and packed shadow, read directly by the fast paths. Valid only while
+  /// cachedRegionEpoch() still equals detail::RegionPublishEpoch — any
+  /// registerRegion/unregisterRegion invalidates every thread's cache by
+  /// bumping the epoch. An empty cache has epoch 0, which the publish
+  /// epoch (starting at 1) never equals. A shared_ptr keeps the cached
+  /// TaggedRegion, and so its shadow, alive across unregistration, so a
+  /// stale shadow pointer can never dangle; the epoch check merely keeps
+  /// it from validating accesses.
   uint64_t cachedRegionEpoch() const { return CachedRegionEpoch; }
+  uint64_t cachedRegionBegin() const { return CachedRegionBegin; }
+  const uint8_t *cachedRegionShadow() const { return CachedRegionShadow; }
+  /// True when \p Bytes bytes at offset \p Off from cachedRegionBegin()
+  /// lie inside the cached region. One range compare on the offset: an
+  /// address below the region wraps to a huge Off, and a \p Bytes larger
+  /// than the region cannot underflow size - Off once Off < size.
+  M4J_ALWAYS_INLINE bool cachedRegionCovers(uint64_t Off,
+                                            uint64_t Bytes) const {
+    return Off < CachedRegionSize && Bytes <= CachedRegionSize - Off;
+  }
 
   /// Installs \p Region (observed under publish epoch \p Epoch) as the
   /// thread's last-hit region. Null clears the cache.
@@ -201,9 +226,11 @@ private:
   bool PendingIsWrite = false;
   uint32_t PendingSize = 0;
 
-  const TaggedRegion *CachedRegion = nullptr;
-  std::shared_ptr<const TaggedRegion> CachedRegionRef;
   uint64_t CachedRegionEpoch = 0;
+  uint64_t CachedRegionBegin = 0;
+  uint64_t CachedRegionSize = 0;
+  const uint8_t *CachedRegionShadow = nullptr;
+  std::shared_ptr<const TaggedRegion> CachedRegionRef;
   std::atomic<uint64_t> Counts[kNumAccessCounts] = {};
   std::atomic<uint64_t> ActiveRegionEpoch{0};
 

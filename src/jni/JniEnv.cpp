@@ -232,6 +232,10 @@ PinnedStringChars::~PinnedStringChars() {
     Env.ReleaseStringCritical(Str, Chars);
 }
 
+jchar PinnedStringChars::checkedAt(jsize I) const {
+  return mte::load<const jchar>(Chars + I);
+}
+
 // ==== string interfaces ==================================================
 
 mte::TaggedPtr<const jchar> JniEnv::GetStringChars(jstring Str,

@@ -56,8 +56,7 @@ AccessMetrics &accessMetrics() {
 void countRegionCacheMissReason(ThreadState &TS, uint64_t Address,
                                 uint64_t Bytes) {
   AccessMetrics &AM = accessMetrics();
-  const TaggedRegion *Cached = TS.cachedRegion();
-  if (Cached == nullptr) {
+  if (TS.cachedRegionEpoch() == 0) {
     AM.MissCold.add();
     return;
   }
@@ -66,7 +65,7 @@ void countRegionCacheMissReason(ThreadState &TS, uint64_t Address,
     AM.MissEpochStale.add();
     return;
   }
-  if (!(Cached->contains(Address) && Bytes <= Cached->end() - Address))
+  if (!TS.cachedRegionCovers(Address - TS.cachedRegionBegin(), Bytes))
     AM.MissOutOfRange.add();
 }
 
@@ -126,7 +125,7 @@ void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
       Hit = Region;
       ++Checked;
       if (M4J_UNLIKELY(Region->tagAt(Granule) != PointerTag)) {
-        TS.countAccess(IsWrite, Checked);
+        TS.countSlow(IsWrite, Checked);
         reportMismatch(TS, Address, PointerTag, Region->tagAt(Granule), Size,
                        IsWrite);
         return;
@@ -138,7 +137,7 @@ void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
   if (Checked == 0)
     return; // not PROT_MTE memory: unchecked, like hardware
 
-  TS.countAccess(IsWrite, Checked);
+  TS.countSlow(IsWrite, Checked);
 
   // Refill the last-hit cache when the whole access sits in one region —
   // the overwhelmingly common case the inlined fast path serves next time.
@@ -184,7 +183,7 @@ M4J_NOINLINE bool checkRangeSlow(ThreadState &TS, uint64_t Bits,
     Granules += LastIdx - FirstIdx + 1;
     uint64_t Bad = Region.findMismatch(FirstIdx, LastIdx, PointerTag);
     if (M4J_UNLIKELY(Bad != UINT64_MAX)) {
-      TS.countAccess(IsWrite, Granules);
+      TS.countSlow(IsWrite, Granules);
       if (!Report)
         return false;
       uint64_t BadAddr = Region.begin() + (Bad << kGranuleShift);
@@ -201,7 +200,7 @@ M4J_NOINLINE bool checkRangeSlow(ThreadState &TS, uint64_t Bits,
   if (Granules == 0)
     return true; // not PROT_MTE memory
 
-  TS.countAccess(IsWrite, Granules);
+  TS.countSlow(IsWrite, Granules);
   if (Lat.armed())
     Lat.setArg2(static_cast<uint32_t>(
         Granules > UINT32_MAX ? UINT32_MAX : Granules));
@@ -230,27 +229,21 @@ M4J_ALWAYS_INLINE bool checkRange(uint64_t Bits, uint64_t Bytes,
 
   // Fast path: whole range inside the thread's cached region under the
   // current publish epoch — one SWAR scan, no list walk.
-  uint64_t Address = addressOf(Bits);
-  const TaggedRegion *Cached = TS.cachedRegion();
+  uint64_t Off = addressOf(Bits) - TS.cachedRegionBegin();
   if (M4J_LIKELY(
-          Cached != nullptr &&
           TS.cachedRegionEpoch() ==
               detail::RegionPublishEpoch.load(std::memory_order_acquire) &&
-          Cached->contains(Address) && Bytes <= Cached->end() - Address)) {
-    TagValue PointerTag = pointerTagOf(Bits);
-    uint64_t FirstIdx = granuleIndex(
-        support::alignDown(Address, kGranuleSize), Cached->begin());
-    uint64_t LastIdx =
-        granuleIndex(support::alignDown(Address + Bytes - 1, kGranuleSize),
-                     Cached->begin());
-    uint64_t Granules = LastIdx - FirstIdx + 1;
+          TS.cachedRegionCovers(Off, Bytes))) {
+    uint64_t FirstIdx = Off >> kGranuleShift;
+    uint64_t Granules = ((Off + Bytes - 1) >> kGranuleShift) - FirstIdx + 1;
     if (M4J_UNLIKELY(Lat.armed()))
       Lat.setArg2(static_cast<uint32_t>(
           Granules > UINT32_MAX ? UINT32_MAX : Granules));
-    uint64_t Bad = Cached->findMismatch(FirstIdx, LastIdx, PointerTag);
-    if (M4J_LIKELY(Bad == UINT64_MAX)) {
-      TS.countAccess(IsWrite, Granules);
-      TS.countRegionCacheHit();
+    if (M4J_LIKELY(detail::scanMismatchPacked(TS.cachedRegionShadow(),
+                                              FirstIdx, Granules,
+                                              pointerTagOf(Bits)) ==
+                   UINT64_MAX)) {
+      TS.countHit(IsWrite, Granules - 1);
       return true;
     }
     // Mismatch: fall through for uniform counting and reporting.

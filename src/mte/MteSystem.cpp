@@ -26,13 +26,14 @@ void drainAsyncAtSyscall(void *Context, const char *SyscallName) {
     TS.drainAsync(SyscallName);
 }
 
-/// Exposes one per-thread access count as a registry counter: read by
-/// summing the threads' cells at snapshot time, zeroed by resetAll through
-/// a baseline, so the checked-access paths never touch a registry cell.
-template <AccessCount Which> void registerAccessCounter(const char *Name) {
+/// Exposes a sum of per-thread access cells as a registry counter: read
+/// by summing the threads' cells at snapshot time, zeroed by resetAll
+/// through the cells' baselines, so the checked-access paths never touch a
+/// registry cell.
+template <AccessCount... Cells> void registerAccessCounter(const char *Name) {
   support::Metrics::registerDerived(
-      Name, +[] { return MteSystem::instance().accessCount(Which); },
-      +[] { MteSystem::instance().rebaseAccessCount(Which); });
+      Name, +[] { return (MteSystem::instance().accessCount(Cells) + ...); },
+      +[] { (MteSystem::instance().rebaseAccessCount(Cells), ...); });
 }
 
 } // namespace
@@ -45,13 +46,13 @@ MteSystem &MteSystem::instance() {
 MteSystem::MteSystem() {
   publishRegions({});
   support::addSyscallObserver(drainAsyncAtSyscall, this);
-  registerAccessCounter<AccessCount::CheckedLoads>("mte/access/checked_loads");
-  registerAccessCounter<AccessCount::CheckedStores>(
-      "mte/access/checked_stores");
-  registerAccessCounter<AccessCount::CheckedGranules>(
-      "mte/access/checked_granules");
-  registerAccessCounter<AccessCount::RegionCacheHits>(
-      "mte/access/region_cache_hit");
+  using enum AccessCount;
+  registerAccessCounter<LoadHits, SlowLoads>("mte/access/checked_loads");
+  registerAccessCounter<StoreHits, SlowStores>("mte/access/checked_stores");
+  // Every counted access covers at least one granule.
+  registerAccessCounter<LoadHits, StoreHits, SlowLoads, SlowStores,
+                        ExtraGranules>("mte/access/checked_granules");
+  registerAccessCounter<LoadHits, StoreHits>("mte/access/region_cache_hit");
 }
 
 RegionPin::RegionPin(const MteSystem &System) {

@@ -112,15 +112,9 @@ uint64_t scanMismatchPacked(const uint8_t *Packed, uint64_t FirstGranule,
 
 uint64_t scanMismatchPackedScalar(const uint8_t *Packed, uint64_t FirstGranule,
                                   uint64_t Count, TagValue Expected) {
-  for (uint64_t I = 0; I < Count; ++I) {
-    uint64_t G = FirstGranule + I;
-    uint8_t Byte = std::atomic_ref<const uint8_t>(Packed[G >> 1])
-                       .load(std::memory_order_relaxed);
-    TagValue Tag = (G & 1) ? static_cast<TagValue>(Byte >> 4)
-                           : static_cast<TagValue>(Byte & 0xF);
-    if (M4J_UNLIKELY(Tag != Expected))
+  for (uint64_t I = 0; I < Count; ++I)
+    if (M4J_UNLIKELY(packedTagAt(Packed, FirstGranule + I) != Expected))
       return I;
-  }
   return UINT64_MAX;
 }
 

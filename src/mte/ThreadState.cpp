@@ -86,8 +86,11 @@ void ThreadState::drainAsync(const char *SyscallName) {
 void ThreadState::cacheRegion(std::shared_ptr<const TaggedRegion> Region,
                               uint64_t Epoch) {
   CachedRegionRef = std::move(Region);
-  CachedRegion = CachedRegionRef.get();
-  CachedRegionEpoch = CachedRegion ? Epoch : 0;
+  const TaggedRegion *R = CachedRegionRef.get();
+  CachedRegionEpoch = R ? Epoch : 0;
+  CachedRegionBegin = R ? R->begin() : 0;
+  CachedRegionSize = R ? R->size() : 0;
+  CachedRegionShadow = R ? R->shadow() : nullptr;
 }
 
 } // namespace mte4jni::mte

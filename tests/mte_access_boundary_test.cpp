@@ -217,6 +217,111 @@ TEST_F(MteAccessBoundaryTest, RegionCacheInvalidatedByUnregister) {
   EXPECT_EQ(Faults[0].MemoryTag, 0);
 }
 
+// The region-cache hit is one range compare on the offset into the cached
+// region plus one shadow read per touched granule. The next three cases
+// start from a warm cache and pin its edges.
+
+uint64_t counterDelta(const support::MetricsSnapshot &Before,
+                      const support::MetricsSnapshot &After,
+                      const char *Name) {
+  return After.counterValue(Name) - Before.counterValue(Name);
+}
+
+// A 48-byte load touches three granules; the fast path must compare the
+// middle one too, not only the first and the last.
+TEST_F(MteAccessBoundaryTest, WarmHitChecksEveryTouchedGranule) {
+  alignas(16) uint8_t Buf[128] = {};
+  MteSystem::instance().registerRegion(Buf, sizeof(Buf));
+  mte::setTagRange(TaggedPtr<void>::fromRaw(Buf, 4), sizeof(Buf));
+  mte::setTagRange(TaggedPtr<void>::fromRaw(Buf + 48, 9), 16);
+  struct Wide {
+    uint8_t B[48];
+  };
+  auto P = TaggedPtr<Wide>::fromRaw(reinterpret_cast<Wide *>(Buf + 32), 4);
+  auto Warm = TaggedPtr<uint8_t>::fromRaw(Buf, 4);
+
+  (void)mte::load<uint8_t>(Warm);
+  (void)mte::load<Wide>(P); // granules 2, 3 (tag 9) and 4
+  auto Faults = MteSystem::instance().faultLog().snapshot();
+  ASSERT_EQ(Faults.size(), 1u);
+  EXPECT_EQ(Faults[0].PointerTag, 4);
+  EXPECT_EQ(Faults[0].MemoryTag, 9); // only granule 3 carries tag 9
+
+  // With the middle granule retagged to match, the same load is a clean
+  // three-granule hit.
+  mte::setTagRange(TaggedPtr<void>::fromRaw(Buf + 48, 4), 16);
+  (void)mte::load<uint8_t>(Warm);
+  support::MetricsSnapshot Before = support::Metrics::snapshot();
+  uint64_t ChecksBefore = ThreadState::current().checksPerformed();
+  (void)mte::load<Wide>(P);
+  support::MetricsSnapshot After = support::Metrics::snapshot();
+  EXPECT_EQ(ThreadState::current().checksPerformed() - ChecksBefore, 3u);
+  EXPECT_EQ(counterDelta(Before, After, "mte/access/region_cache_hit"), 1u);
+  EXPECT_EQ(faults(), 1u);
+  MteSystem::instance().unregisterRegion(Buf);
+}
+
+// A load that starts in the cached region's last granule and runs past its
+// end is not a hit: the slow path checks the in-region granule and leaves
+// the tail unchecked, like non-PROT_MTE memory. The region's three
+// granules leave the tail granule in the high nibble of the shadow's last
+// byte, which reads 0; a fast path that let the tail in would match it
+// with pointer tag 0 and count a two-granule hit.
+TEST_F(MteAccessBoundaryTest, WarmLoadRunningPastRegionEndTakesSlowPath) {
+  alignas(16) uint8_t Buf[64] = {};
+  MteSystem::instance().registerRegion(Buf, 48);
+  // [Buf+44, Buf+48) is in the last granule, [Buf+48, Buf+52) past the end.
+  auto Tail = [&](mte::TagValue Tag) {
+    return TaggedPtr<uint64_t>::fromRaw(
+        reinterpret_cast<uint64_t *>(Buf + 44), Tag);
+  };
+
+  (void)mte::load<uint8_t>(TaggedPtr<uint8_t>::fromRaw(Buf, 0)); // warm
+  support::MetricsSnapshot Before = support::Metrics::snapshot();
+  uint64_t ChecksBefore = ThreadState::current().checksPerformed();
+  (void)mte::load<uint64_t>(Tail(0));
+  support::MetricsSnapshot After = support::Metrics::snapshot();
+  EXPECT_EQ(ThreadState::current().checksPerformed() - ChecksBefore, 1u);
+  EXPECT_EQ(counterDelta(Before, After, "mte/access/region_cache_hit"), 0u);
+  EXPECT_EQ(counterDelta(Before, After,
+                         "mte/access/cache_miss_reason/out_of_range"),
+            1u);
+
+  // The in-region granule is checked and the tail is not.
+  mte::setTagRange(TaggedPtr<void>::fromRaw(Buf, 5), 48);
+  (void)mte::load<uint8_t>(TaggedPtr<uint8_t>::fromRaw(Buf, 5)); // warm
+  (void)mte::load<uint64_t>(Tail(5));
+  EXPECT_EQ(faults(), 0u);
+  (void)mte::load<uint64_t>(Tail(11));
+  auto Faults = MteSystem::instance().faultLog().snapshot();
+  ASSERT_EQ(Faults.size(), 1u);
+  EXPECT_EQ(Faults[0].MemoryTag, 5);
+  MteSystem::instance().unregisterRegion(Buf);
+}
+
+// A T larger than a one-granule region, read at the region's start, is not
+// a hit. Computing size - sizeof(T) first would underflow and admit it;
+// granule 1, the high nibble of the region's one shadow byte, reads 0 and
+// would match pointer tag 0. Only the region's one granule is checked.
+TEST_F(MteAccessBoundaryTest, WarmLoadLargerThanRegionTakesSlowPath) {
+  alignas(16) uint8_t Buf[64] = {};
+  MteSystem::instance().registerRegion(Buf, 16);
+  struct Quad {
+    uint64_t A[4];
+  };
+  (void)mte::load<uint8_t>(TaggedPtr<uint8_t>::fromRaw(Buf, 0)); // warm
+
+  support::MetricsSnapshot Before = support::Metrics::snapshot();
+  uint64_t ChecksBefore = ThreadState::current().checksPerformed();
+  (void)mte::load<Quad>(
+      TaggedPtr<Quad>::fromRaw(reinterpret_cast<Quad *>(Buf), 0));
+  support::MetricsSnapshot After = support::Metrics::snapshot();
+  EXPECT_EQ(ThreadState::current().checksPerformed() - ChecksBefore, 1u);
+  EXPECT_EQ(counterDelta(Before, After, "mte/access/region_cache_hit"), 0u);
+  EXPECT_EQ(faults(), 0u);
+  MteSystem::instance().unregisterRegion(Buf);
+}
+
 // Register/unregister churn with no pinned readers must not accumulate
 // retired snapshots.
 TEST_F(MteAccessBoundaryTest, RetiredSnapshotsStayBounded) {
