@@ -240,4 +240,55 @@ void BenchReport::writeIfRequested(const BenchOptions &Options) const {
   }
 }
 
+SuiteScores::SuiteScores(std::string BenchName)
+    : Table({"workload", "guarded", "mte+sync", "mte+async", ""},
+            {24, 10, 10, 11, 30}),
+      Report(std::move(BenchName)) {
+  Table.printHeader();
+}
+
+void SuiteScores::addRow(const std::string &Workload, bool JniIntensive,
+                         double Guarded, double Sync, double Async) {
+  GuardedScores.push_back(Guarded);
+  SyncScores.push_back(Sync);
+  AsyncScores.push_back(Async);
+  Report.addRow(Workload + "/guarded_copy", Guarded, "%");
+  Report.addRow(Workload + "/mte4jni_sync", Sync, "%");
+  Report.addRow(Workload + "/mte4jni_async", Async, "%");
+  std::string Note;
+  if (JniIntensive) {
+    bool Cross = Sync < Guarded;
+    Crossed.emplace_back(Workload, Cross);
+    Report.addRow(Workload + "/crossover", Cross ? 1 : 0, "bool");
+    Note = Cross ? "  [JNI-intensive] crossed"
+                 : "  [JNI-intensive] NOT crossed";
+  }
+  Table.printRow({Workload, percentCell(Guarded), percentCell(Sync),
+                  percentCell(Async), Note});
+}
+
+SuiteScores::Geomeans SuiteScores::finish() const {
+  Geomeans M{support::geometricMean(GuardedScores),
+             support::geometricMean(SyncScores),
+             support::geometricMean(AsyncScores)};
+  Table.printSeparator();
+  Table.printRow({"geomean", percentCell(M.Guarded), percentCell(M.Sync),
+                  percentCell(M.Async), ""});
+  return M;
+}
+
+bool SuiteScores::allCrossed() const {
+  for (const auto &[Name, Cross] : Crossed)
+    if (!Cross)
+      return false;
+  return !Crossed.empty();
+}
+
+std::string SuiteScores::crossovers() const {
+  std::string Out;
+  for (const auto &[Name, Cross] : Crossed)
+    Out += (Out.empty() ? "" : ", ") + Name + (Cross ? " yes" : " NO");
+  return Out;
+}
+
 } // namespace mte4jni::bench

@@ -8,8 +8,8 @@
 /// \file
 /// Utilities shared by the per-figure benchmark binaries: CLI flags
 /// (--paper for full paper-scale parameters, --quick for smoke runs),
-/// the Table-2-style environment banner, fixed-width table printing and
-/// repetition-controlled timing.
+/// the Table-2-style environment banner, fixed-width table printing,
+/// repetition-controlled timing and the fig7/fig8 suite table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +23,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mte4jni::bench {
@@ -131,6 +132,42 @@ private:
   };
   std::string BenchName;
   std::vector<Row> Rows;
+};
+
+/// The fig7/fig8 workload-suite table. A row holds one workload's
+/// guarded-copy, MTE4JNI-sync and MTE4JNI-async scores, in percent of no
+/// protection, and is printed as it is added. A JNI-intensive row
+/// crosses when its sync score is below its guarded one: the paper's
+/// Figure 7/8 crossover. The --json report has one row per score,
+/// "<workload>/<scheme>" in percent, and one per JNI-intensive workload,
+/// "<workload>/crossover", 1 when it crossed and 0 when not.
+class SuiteScores {
+public:
+  explicit SuiteScores(std::string BenchName);
+
+  void addRow(const std::string &Workload, bool JniIntensive, double Guarded,
+              double Sync, double Async);
+
+  struct Geomeans {
+    double Guarded, Sync, Async;
+  };
+  /// Prints the geomean row under the table and returns its values.
+  Geomeans finish() const;
+
+  /// True when every JNI-intensive row crossed.
+  bool allCrossed() const;
+  /// Each JNI-intensive row's result: "Clang yes, Text Processing NO, ...".
+  std::string crossovers() const;
+
+  void writeIfRequested(const BenchOptions &Options) const {
+    Report.writeIfRequested(Options);
+  }
+
+private:
+  TablePrinter Table;
+  BenchReport Report;
+  std::vector<double> GuardedScores, SyncScores, AsyncScores;
+  std::vector<std::pair<std::string, bool>> Crossed;
 };
 
 } // namespace mte4jni::bench

@@ -55,12 +55,7 @@ int main(int Argc, char **Argv) {
                             : Options.PaperScale ? 200'000'000
                                                  : 30'000'000;
 
-  TablePrinter Table({"workload", "guarded", "mte+sync", "mte+async", ""},
-                     {24, 10, 10, 11, 16});
-  Table.printHeader();
-
-  std::vector<double> GuardedScores, SyncScores, AsyncScores;
-  bool CrossoverSeen = false;
+  SuiteScores Scores("fig7_single_core");
   for (auto &W : workloads::makeAllWorkloads()) {
     std::string Name = W->name();
     double None = timeWorkload(Name, api::Scheme::NoProtection, MinNanos,
@@ -73,33 +68,21 @@ int main(int Argc, char **Argv) {
                                 Options.Seed);
 
     // Score = throughput relative to no protection, in percent.
-    double SG = 100.0 * None / Guarded;
-    double SS = 100.0 * None / Sync;
-    double SA = 100.0 * None / Async;
-    GuardedScores.push_back(SG);
-    SyncScores.push_back(SS);
-    AsyncScores.push_back(SA);
-    if (W->isJniIntensive() && SS < SG)
-      CrossoverSeen = true;
-
-    Table.printRow({Name, percentCell(SG), percentCell(SS), percentCell(SA),
-                    W->isJniIntensive() ? "  [JNI-intensive]" : ""});
+    Scores.addRow(Name, W->isJniIntensive(), 100.0 * None / Guarded,
+                  100.0 * None / Sync, 100.0 * None / Async);
   }
-  Table.printSeparator();
-
-  double MG = support::geometricMean(GuardedScores);
-  double MS = support::geometricMean(SyncScores);
-  double MA = support::geometricMean(AsyncScores);
-  Table.printRow({"geomean", percentCell(MG), percentCell(MS),
-                  percentCell(MA), ""});
+  SuiteScores::Geomeans M = Scores.finish();
 
   std::printf("\npaper single-core degradations: guarded 5.90%%, mte+sync "
               "5.33%%, mte+async 1.13%%\n");
   std::printf("(software tag checks cost more than hardware ones; compare "
               "ordering, not magnitudes)\n");
   std::printf("shape checks: async best of the three: %s; JNI-intensive "
-              "crossover (sync < guarded on Clang/Text/PDF): %s\n",
-              MA >= MS * 0.97 && MA >= MG ? "yes" : "NO (noise?)",
-              CrossoverSeen ? "yes" : "NO");
+              "crossover (sync < guarded on every JNI-intensive row): %s "
+              "(%s)\n",
+              M.Async >= M.Sync * 0.97 && M.Async >= M.Guarded ? "yes"
+                                                               : "NO (noise?)",
+              Scores.allCrossed() ? "yes" : "NO", Scores.crossovers().c_str());
+  Scores.writeIfRequested(Options);
   return 0;
 }

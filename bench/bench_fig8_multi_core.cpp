@@ -95,12 +95,7 @@ int main(int Argc, char **Argv) {
   std::printf("parameters: %u threads x %u iterations per workload\n\n",
               Threads, Iters);
 
-  TablePrinter Table({"workload", "guarded", "mte+sync", "mte+async", ""},
-                     {24, 10, 10, 11, 16});
-  Table.printHeader();
-
-  std::vector<double> GuardedScores, SyncScores, AsyncScores;
-  bool CrossoverSeen = false;
+  SuiteScores Scores("fig8_multi_core");
   for (auto &W : workloads::makeAllWorkloads()) {
     std::string Name = W->name();
     double None = multicoreThroughputBest(Name, api::Scheme::NoProtection,
@@ -112,32 +107,20 @@ int main(int Argc, char **Argv) {
     double Async = multicoreThroughputBest(
         Name, api::Scheme::Mte4JniAsync, Threads, Iters, Options.Seed);
 
-    double SG = 100.0 * Guarded / None;
-    double SS = 100.0 * Sync / None;
-    double SA = 100.0 * Async / None;
-    GuardedScores.push_back(SG);
-    SyncScores.push_back(SS);
-    AsyncScores.push_back(SA);
-    if (W->isJniIntensive() && SS < SG)
-      CrossoverSeen = true;
-
-    Table.printRow({Name, percentCell(SG), percentCell(SS), percentCell(SA),
-                    W->isJniIntensive() ? "  [JNI-intensive]" : ""});
+    Scores.addRow(Name, W->isJniIntensive(), 100.0 * Guarded / None,
+                  100.0 * Sync / None, 100.0 * Async / None);
   }
-  Table.printSeparator();
-
-  double MG = support::geometricMean(GuardedScores);
-  double MS = support::geometricMean(SyncScores);
-  double MA = support::geometricMean(AsyncScores);
-  Table.printRow({"geomean", percentCell(MG), percentCell(MS),
-                  percentCell(MA), ""});
+  SuiteScores::Geomeans M = Scores.finish();
 
   std::printf("\npaper multi-core degradations: guarded 13.50%%, mte+sync "
               "5.12%%, mte+async 1.55%% (async ~14%% better than guarded)\n");
   std::printf("shape checks: async best: %s; guarded degrades more here "
               "than single-core: compare with bench_fig7; JNI-intensive "
-              "crossover: %s\n",
-              MA >= MS * 0.97 && MA >= MG ? "yes" : "NO (noise?)",
-              CrossoverSeen ? "yes" : "NO");
+              "crossover (sync < guarded on every JNI-intensive row): %s "
+              "(%s)\n",
+              M.Async >= M.Sync * 0.97 && M.Async >= M.Guarded ? "yes"
+                                                               : "NO (noise?)",
+              Scores.allCrossed() ? "yes" : "NO", Scores.crossovers().c_str());
+  Scores.writeIfRequested(Options);
   return 0;
 }

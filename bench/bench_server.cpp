@@ -18,6 +18,9 @@
 // optional trickle of rogue near-OOB reads (--rogue-permille) modelling a
 // buggy native library sharing the process.
 //
+// Each scheme runs in three alternating rounds, and the report holds
+// each scheme's per-round throughput and the medians of every row.
+//
 // With --stream=out.jsonl one metrics snapshot per interval is appended
 // while the server runs (all schemes into one file, labelled); inspect
 // live with `m4jstat watch out.jsonl` or after the fact with
@@ -30,6 +33,8 @@
 #include "mte4jni/server/Server.h"
 
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 using namespace mte4jni;
 using namespace mte4jni::bench;
@@ -63,6 +68,62 @@ void addSchemeRows(BenchReport &Report, const char *Scheme,
     Report.addRow(TP + "p99_ns", double(T.P99Nanos), "ns");
     Report.addRow(TP + "p999_ns", double(T.P999Nanos), "ns");
   }
+}
+
+/// The median of \p Field over \p Runs.
+template <typename S, typename T>
+T medianField(const std::vector<const S *> &Runs, T S::*Field) {
+  support::SampleSet Values;
+  for (const S *R : Runs)
+    Values.add(double(R->*Field));
+  return T(Values.median());
+}
+
+/// Field-wise median of one scheme's rounds: each rate, count and
+/// percentile the report prints, global and per tenant, is the median of
+/// its values over the rounds, so one slow host period moves none of
+/// them.
+server::ServerResult
+medianResult(const std::vector<server::ServerResult> &Rounds) {
+  using server::ServerResult;
+  using server::TenantSummary;
+  std::vector<const ServerResult *> Runs;
+  for (const ServerResult &R : Rounds)
+    Runs.push_back(&R);
+  ServerResult M = Rounds.front();
+  for (double ServerResult::*F :
+       {&ServerResult::RequestsPerSec, &ServerResult::CrossingsPerSec,
+        &ServerResult::FaultsPerSec, &ServerResult::MeanNanos})
+    M.*F = medianField(Runs, F);
+  for (uint64_t ServerResult::*F :
+       {&ServerResult::Requests, &ServerResult::Faults,
+        &ServerResult::JniCrossings, &ServerResult::LateArrivals,
+        &ServerResult::P50Nanos, &ServerResult::P99Nanos,
+        &ServerResult::P999Nanos})
+    M.*F = medianField(Runs, F);
+  for (size_t T = 0; T < M.Tenants.size(); ++T) {
+    std::vector<const TenantSummary *> Tenant;
+    for (const ServerResult &R : Rounds)
+      Tenant.push_back(&R.Tenants[T]);
+    for (uint64_t TenantSummary::*F :
+         {&TenantSummary::Requests, &TenantSummary::Faults,
+          &TenantSummary::P50Nanos, &TenantSummary::P99Nanos,
+          &TenantSummary::P999Nanos})
+      M.Tenants[T].*F = medianField(Tenant, F);
+  }
+  return M;
+}
+
+void printResultRow(const TablePrinter &Table, const std::string &Label,
+                    const server::ServerResult &R) {
+  Table.printRow({Label, support::format("%.0f", R.RequestsPerSec),
+                  support::format("%.0f", R.CrossingsPerSec),
+                  support::format("%.1f", R.FaultsPerSec),
+                  support::format("%llu", (unsigned long long)R.P50Nanos),
+                  support::format("%llu", (unsigned long long)R.P99Nanos),
+                  support::format("%llu", (unsigned long long)R.P999Nanos),
+                  support::format("%llu",
+                                  (unsigned long long)R.LateArrivals)});
 }
 
 } // namespace
@@ -125,51 +186,75 @@ int main(int Argc, char **Argv) {
 
   TablePrinter Table({"scheme", "req/s", "xing/s", "faults/s", "p50 ns",
                       "p99 ns", "p999 ns", "late"},
-                     {14, 12, 12, 10, 10, 10, 10, 8});
+                     {17, 12, 12, 10, 10, 10, 10, 8});
   Table.printHeader();
 
+  // The schemes run in kRounds alternating rounds (forward, then
+  // backward), so a slow host period skews one round of every scheme
+  // rather than every round of one. An odd count ends on a forward
+  // round, whose last phase is MTE4JNI-sync.
+  constexpr unsigned kRounds = 3;
+  constexpr size_t kNumSchemes = std::size(Schemes);
+  std::vector<server::ServerResult> Results[kNumSchemes];
   BenchReport Report("server");
-  bool FirstScheme = true;
-  for (const SchemeRun &SR : Schemes) {
-    // Per-scheme counters from zero: the report's embedded metrics
-    // snapshot (taken at write time) then describes the LAST scheme's run
-    // — the MTE4JNI one — including its rt/gc/pause_nanos histogram.
-    support::Metrics::resetAll();
+  for (unsigned Round = 0; Round < kRounds; ++Round) {
+    for (size_t I = 0; I < kNumSchemes; ++I) {
+      size_t K = Round % 2 == 0 ? I : kNumSchemes - 1 - I;
+      const SchemeRun &SR = Schemes[K];
+      // Per-phase counters from zero: the report's embedded metrics
+      // snapshot (taken at write time) then describes the LAST phase —
+      // an MTE4JNI one — including its rt/gc/pause_nanos histogram.
+      support::Metrics::resetAll();
 
-    api::SessionConfig SC;
-    SC.Protection = SR.Scheme;
-    SC.BackgroundGc = true;
-    SC.Seed = Options.Seed;
-    api::Session S(SC);
+      api::SessionConfig SC;
+      SC.Protection = SR.Scheme;
+      SC.BackgroundGc = true;
+      SC.Seed = Options.Seed;
+      api::Session S(SC);
 
-    server::ServerConfig Run = Config;
-    if (!StreamPath.empty()) {
-      Run.StreamPath = StreamPath;
-      Run.StreamIntervalMillis = StreamIntervalMillis;
-      Run.StreamLabel = SR.Name;
-      Run.StreamAppend = !FirstScheme; // all schemes share one stream file
+      server::ServerConfig Run = Config;
+      if (!StreamPath.empty()) {
+        Run.StreamPath = StreamPath;
+        Run.StreamIntervalMillis = StreamIntervalMillis;
+        Run.StreamLabel = SR.Name;
+        // Every phase after the first appends to the one stream file.
+        Run.StreamAppend = Round != 0 || I != 0;
+      }
+
+      Results[K].push_back(server::runServer(S, Run));
+      printResultRow(Table, support::format("%s r%u", SR.Name, Round + 1),
+                     Results[K].back());
+      Report.addRow(support::format("%s/round%u/requests_per_sec", SR.Name,
+                                    Round + 1),
+                    Results[K].back().RequestsPerSec, "req/s",
+                    Results[K].back().Requests);
     }
-    FirstScheme = false;
+  }
 
-    server::ServerResult R = server::runServer(S, Run);
-    Table.printRow({SR.Name, support::format("%.0f", R.RequestsPerSec),
-                    support::format("%.0f", R.CrossingsPerSec),
-                    support::format("%.1f", R.FaultsPerSec),
-                    support::format("%llu",
-                                    (unsigned long long)R.P50Nanos),
-                    support::format("%llu",
-                                    (unsigned long long)R.P99Nanos),
-                    support::format("%llu",
-                                    (unsigned long long)R.P999Nanos),
-                    support::format("%llu",
-                                    (unsigned long long)R.LateArrivals)});
+  std::printf("\nmedians of %u rounds:\n", kRounds);
+  Table.printHeader();
+  for (size_t K = 0; K < kNumSchemes; ++K) {
+    server::ServerResult R = medianResult(Results[K]);
+    printResultRow(Table, Schemes[K].Name, R);
     for (const server::TenantSummary &T : R.Tenants)
       std::printf("  tenant%-2u req=%-9llu faults=%-6llu p99=%llu ns\n",
                   T.Tenant, (unsigned long long)T.Requests,
                   (unsigned long long)T.Faults,
                   (unsigned long long)T.P99Nanos);
-    addSchemeRows(Report, SR.Name, R);
+    addSchemeRows(Report, Schemes[K].Name, R);
   }
+
+  // Same-round ratios (Schemes[1] is guarded copy, Schemes[2]
+  // MTE4JNI-sync): both phases of a round saw the same host period.
+  support::SampleSet SyncPerGuarded;
+  std::printf("\nmte4jni_sync / guarded_copy req/s by round:");
+  for (unsigned Round = 0; Round < kRounds; ++Round) {
+    double Ratio = Results[2][Round].RequestsPerSec /
+                   Results[1][Round].RequestsPerSec;
+    SyncPerGuarded.add(Ratio);
+    std::printf(" %.2f", Ratio);
+  }
+  std::printf(" (median %.2f)\n", SyncPerGuarded.median());
 
   std::printf("\nnote: faults/s > 0 only under MTE with --rogue-permille "
               "(rogue requests are near-OOB READS —\n"

@@ -31,20 +31,29 @@
 namespace mte4jni::mte {
 
 namespace detail {
-/// Out-of-line tag check; called on region-cache miss or when the fast
-/// path saw a mismatch. Resolves the region(s) granule-by-granule, refills
-/// the thread's region cache, and performs fault delivery/latching.
+/// Out-of-line tag check, for an access the inline one-granule hit did
+/// not serve. An access that does not fit in one granule first gets the
+/// region cache's general hit test. Otherwise (a cache miss or a tag
+/// mismatch) it resolves the region(s) granule-by-granule, refills the
+/// thread's region cache, and performs fault delivery/latching.
 void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
                      bool IsWrite);
 
-/// Header-inlined hit path: the access lies entirely inside the thread's
-/// cached last-hit region, the cache is from the current publish epoch,
-/// and every touched granule's tag matches. Returns false (deferring to
-/// checkAccessSlow) on cache miss, straddle out of the cached region, or
-/// tag mismatch. It reads the cached region's begin, size and shadow from
-/// \p TS; the epoch load is the only shared-state read — no
-/// MteSystem::instance() magic-static guard, no region-list walk, no
-/// registry counter — and a hit bumps one ThreadState cell.
+/// True when a \p Size-byte access at offset \p Off from a granule-aligned
+/// base lies in one granule; a Size over 16 never does.
+constexpr bool fitsOneGranule(uint64_t Off, uint64_t Size) {
+  return (Off & (kGranuleSize - 1)) + Size <= kGranuleSize;
+}
+
+/// Header-inlined hit path: the access fits in one granule of the
+/// thread's cached last-hit region, the cache is from the current publish
+/// epoch, and the granule's tag matches. Returns false (deferring to
+/// checkAccessSlow) on cache miss, an access outside the cached region or
+/// across a granule boundary, or tag mismatch. It reads the cached
+/// region's begin, size and shadow from \p TS; the epoch load is the only
+/// shared-state read — no MteSystem::instance() magic-static guard, no
+/// region-list walk, no registry counter — and a hit bumps one
+/// ThreadState cell.
 M4J_ALWAYS_INLINE bool checkAccessFast(ThreadState &TS, uint64_t Bits,
                                        uint32_t Size, bool IsWrite) {
   // An empty cache has epoch 0, which the publish epoch never equals.
@@ -52,20 +61,20 @@ M4J_ALWAYS_INLINE bool checkAccessFast(ThreadState &TS, uint64_t Bits,
                    RegionPublishEpoch.load(std::memory_order_acquire)))
     return false;
   uint64_t Off = addressOf(Bits) - TS.cachedRegionBegin();
-  if (M4J_UNLIKELY(!TS.cachedRegionCovers(Off, Size)))
+  // A region is a whole number of granules, so an access that fits in
+  // Off's granule lies in the region exactly when its first byte does; an
+  // address below the region wraps Off past the region's size. Size is a
+  // constant once inlined. A straddling access takes the general hit test
+  // out of line, which keeps every inlined access site small enough for
+  // GCC to inline the native code's own per-element helpers.
+  if (M4J_UNLIKELY(!fitsOneGranule(Off, Size) ||
+                   !TS.cachedRegionCovers(Off, 1)))
     return false;
-  // The region is granule-aligned, so granule indices come from Off.
-  TagValue PointerTag = pointerTagOf(Bits);
-  const uint8_t *Shadow = TS.cachedRegionShadow();
-  uint64_t First = Off >> kGranuleShift;
-  uint64_t Last = (Off + Size - 1) >> kGranuleShift;
-  for (uint64_t G = First;; ++G) {
-    if (M4J_UNLIKELY(packedTagAt(Shadow, G) != PointerTag))
-      return false; // slow path re-checks and reports
-    if (G == Last)
-      break;
-  }
-  TS.countHit(IsWrite, Last - First);
+  // The region is granule-aligned, so the granule index comes from Off.
+  if (M4J_UNLIKELY(packedTagAt(TS.cachedRegionShadow(),
+                               Off >> kGranuleShift) != pointerTagOf(Bits)))
+    return false; // slow path re-checks and reports
+  TS.countHit(IsWrite, 0);
   return true;
 }
 

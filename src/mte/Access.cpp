@@ -96,10 +96,41 @@ M4J_NOINLINE void reportMismatch(ThreadState &TS, uint64_t Address,
   System.deliverFault(std::move(Record));
 }
 
+/// The region-cache hit test for an access that does not fit in one
+/// granule: the cached region, from the current publish epoch, covers the
+/// whole access (one range compare) and every touched granule carries the
+/// pointer's tag. A hit counts the access and its extra granules.
+bool straddleHit(ThreadState &TS, uint64_t Bits, uint32_t Size,
+                 bool IsWrite) {
+  if (TS.cachedRegionEpoch() !=
+      RegionPublishEpoch.load(std::memory_order_acquire))
+    return false;
+  uint64_t Off = addressOf(Bits) - TS.cachedRegionBegin();
+  if (!TS.cachedRegionCovers(Off, Size))
+    return false;
+  TagValue PointerTag = pointerTagOf(Bits);
+  const uint8_t *Shadow = TS.cachedRegionShadow();
+  uint64_t First = Off >> kGranuleShift;
+  uint64_t Last = (Off + Size - 1) >> kGranuleShift;
+  for (uint64_t G = First;; ++G) {
+    if (packedTagAt(Shadow, G) != PointerTag)
+      return false; // checkAccessSlow's walk re-checks and reports
+    if (G == Last)
+      break;
+  }
+  TS.countHit(IsWrite, Last - First);
+  return true;
+}
+
 } // namespace
 
 void checkAccessSlow(ThreadState &TS, uint64_t Bits, uint32_t Size,
                      bool IsWrite) {
+  // The region's base is granule-aligned, so the address's own offset in
+  // its granule decides the fit, as in checkAccessFast.
+  if (!fitsOneGranule(addressOf(Bits), Size) &&
+      straddleHit(TS, Bits, Size, IsWrite))
+    return;
   MteSystem &System = MteSystem::instance();
   uint64_t Address = addressOf(Bits);
   uint64_t LastByte = Address + Size - 1;

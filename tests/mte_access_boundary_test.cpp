@@ -10,8 +10,9 @@
 // tails that run past a region's end, spans across adjacent regions, and
 // the per-thread region cache + snapshot-reclamation machinery under
 // register/unregister churn. Also pins the SWAR scan kernel to the
-// scalar reference on randomised shadow contents, and the derived
-// mte/access/* counters to exact per-thread counts.
+// scalar reference on randomised shadow contents, the derived
+// mte/access/* counters to exact per-thread counts, and the one-granule
+// region-cache hit to its edges.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 #include <atomic>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -217,9 +219,10 @@ TEST_F(MteAccessBoundaryTest, RegionCacheInvalidatedByUnregister) {
   EXPECT_EQ(Faults[0].MemoryTag, 0);
 }
 
-// The region-cache hit is one range compare on the offset into the cached
-// region plus one shadow read per touched granule. The next three cases
-// start from a warm cache and pin its edges.
+// An access that straddles granules gets the region cache's general hit
+// test: one range compare on the offset into the cached region plus one
+// shadow read per touched granule. The next three cases start from a warm
+// cache and pin its edges.
 
 uint64_t counterDelta(const support::MetricsSnapshot &Before,
                       const support::MetricsSnapshot &After,
@@ -319,6 +322,103 @@ TEST_F(MteAccessBoundaryTest, WarmLoadLargerThanRegionTakesSlowPath) {
   EXPECT_EQ(ThreadState::current().checksPerformed() - ChecksBefore, 1u);
   EXPECT_EQ(counterDelta(Before, After, "mte/access/region_cache_hit"), 0u);
   EXPECT_EQ(faults(), 0u);
+  MteSystem::instance().unregisterRegion(Buf);
+}
+
+// The one-granule hit: an access that fits in one granule lies in the
+// cached region exactly when its first byte does (a region is a whole
+// number of granules), so its hit is one offset compare, one shadow byte
+// and one count. Each case below starts from a warm cache.
+
+/// Warms the region cache at \p Warm, then loads a T at \p P; returns the
+/// region-cache hits and the checked granules the load counted.
+template <typename T>
+std::pair<uint64_t, uint64_t> warmLoadCounts(TaggedPtr<uint8_t> Warm,
+                                             TaggedPtr<uint8_t> P) {
+  (void)mte::load<uint8_t>(Warm);
+  support::MetricsSnapshot Before = support::Metrics::snapshot();
+  (void)mte::load<T>(P.cast<T>());
+  support::MetricsSnapshot After = support::Metrics::snapshot();
+  return {counterDelta(Before, After, "mte/access/region_cache_hit"),
+          counterDelta(Before, After, "mte/access/checked_granules")};
+}
+
+using HitsAndGranules = std::pair<uint64_t, uint64_t>;
+
+TEST_F(MteAccessBoundaryTest, WarmOneGranuleHits) {
+  alignas(16) uint8_t Buf[64] = {};
+  MteSystem::instance().registerRegion(Buf, 48);
+  mte::setTagRange(TaggedPtr<void>::fromRaw(Buf, 5), 48);
+  auto P = TaggedPtr<uint8_t>::fromRaw(Buf, 5);
+  struct Whole {
+    uint64_t A[2];
+  };
+  using mte::detail::fitsOneGranule;
+
+  // The region's last byte.
+  EXPECT_TRUE(fitsOneGranule(47, 1));
+  EXPECT_EQ(warmLoadCounts<uint8_t>(P, P + 47), HitsAndGranules(1, 1));
+  // Eight bytes at granule offset 8 end on the granule's last byte; at
+  // offset 9 they straddle, and the hit counts one extra granule.
+  EXPECT_TRUE(fitsOneGranule(24, 8));
+  EXPECT_EQ(warmLoadCounts<uint64_t>(P, P + 24), HitsAndGranules(1, 1));
+  EXPECT_FALSE(fitsOneGranule(25, 8));
+  EXPECT_EQ(warmLoadCounts<uint64_t>(P, P + 25), HitsAndGranules(1, 2));
+  // A whole granule at a granule start.
+  EXPECT_TRUE(fitsOneGranule(16, 16));
+  EXPECT_EQ(warmLoadCounts<Whole>(P, P + 16), HitsAndGranules(1, 1));
+  EXPECT_FALSE(fitsOneGranule(0, 17));
+  EXPECT_EQ(faults(), 0u);
+  MteSystem::instance().unregisterRegion(Buf);
+}
+
+// One byte either side of a three-granule region is no hit and stays
+// unchecked, like non-PROT_MTE memory. Both bytes pass the granule fit
+// test, so only the offset compare keeps them out: past the end, granule
+// 3 is the unused high nibble of the shadow's last byte, which reads 0
+// and would match pointer tag 0; below the region, Off wraps to 2^64 - 1.
+TEST_F(MteAccessBoundaryTest, WarmOneByteOutsideRegionIsUnchecked) {
+  alignas(16) uint8_t Buf[80] = {};
+  MteSystem::instance().registerRegion(Buf + 16, 48);
+  mte::setTagRange(TaggedPtr<void>::fromRaw(Buf + 16, 5), 48);
+  auto Warm = TaggedPtr<uint8_t>::fromRaw(Buf + 16, 5);
+
+  EXPECT_EQ(warmLoadCounts<uint8_t>(Warm, TaggedPtr<uint8_t>::fromRaw(
+                                              Buf + 64, 0)),
+            HitsAndGranules(0, 0));
+  EXPECT_EQ(warmLoadCounts<uint8_t>(Warm, TaggedPtr<uint8_t>::fromRaw(
+                                              Buf + 15, 9)),
+            HitsAndGranules(0, 0));
+  EXPECT_EQ(faults(), 0u);
+  MteSystem::instance().unregisterRegion(Buf + 16);
+}
+
+// A one-granule store into a granule with another tag faults at the
+// store's own address and counts as a slow store, not a hit.
+TEST_F(MteAccessBoundaryTest, WarmOneGranuleStoreMismatchFaults) {
+  alignas(16) uint8_t Buf[64] = {};
+  MteSystem::instance().registerRegion(Buf, 48);
+  mte::setTagRange(TaggedPtr<void>::fromRaw(Buf, 5), 48);
+  mte::setTagRange(TaggedPtr<void>::fromRaw(Buf + 16, 9), 16);
+  (void)mte::load<uint8_t>(TaggedPtr<uint8_t>::fromRaw(Buf, 5)); // warm
+
+  support::MetricsSnapshot Before = support::Metrics::snapshot();
+  mte::store<uint32_t>(
+      TaggedPtr<uint32_t>::fromRaw(reinterpret_cast<uint32_t *>(Buf + 20), 5),
+      1);
+  support::MetricsSnapshot After = support::Metrics::snapshot();
+  auto Faults = MteSystem::instance().faultLog().snapshot();
+  ASSERT_EQ(Faults.size(), 1u);
+  EXPECT_TRUE(Faults[0].HasAddress);
+  EXPECT_EQ(Faults[0].Address, reinterpret_cast<uint64_t>(Buf + 20));
+  EXPECT_EQ(Faults[0].PointerTag, 5);
+  EXPECT_EQ(Faults[0].MemoryTag, 9);
+  EXPECT_TRUE(Faults[0].IsWrite);
+  EXPECT_EQ(Faults[0].AccessSize, 4u);
+  EXPECT_EQ(counterDelta(Before, After, "mte/access/checked_stores"), 1u);
+  EXPECT_EQ(counterDelta(Before, After, "mte/access/checked_loads"), 0u);
+  EXPECT_EQ(counterDelta(Before, After, "mte/access/region_cache_hit"), 0u);
+  EXPECT_EQ(counterDelta(Before, After, "mte/access/checked_granules"), 1u);
   MteSystem::instance().unregisterRegion(Buf);
 }
 
